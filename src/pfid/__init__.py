@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .linalg import (  # noqa: E402,F401
     TruncatedFactors,
     add_noise,
-    frobenius_norm,
-    matmul,
     nuclear_norm,
     ratio_to_rank,
     reconstruct,

@@ -30,7 +30,7 @@ from .protocol import (
     ROLE_MID_RAW,
     decode_packet,
 )
-from .shard import ClientShards, ShardedModel, head_forward, middle_forward, tail_forward
+from .shard import Shard, head_forward, middle_forward, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord, top5_fingerprint
 
@@ -39,7 +39,6 @@ __all__ = [
     "eavesdrop_generate",
     "remnant_generate",
     "save_capture",
-    "load_capture",
     "paired_packets",
 ]
 
@@ -72,7 +71,7 @@ def paired_packets(capture: list[bytes]) -> list[tuple[Packet, Packet]]:
 
 
 def eavesdrop_generate(
-    public: ClientShards,
+    public: Shard,
     capture: list[bytes],
     mode: AdversaryMode,
     config: PfidConfig,
@@ -110,7 +109,7 @@ def eavesdrop_generate(
 
 
 def remnant_generate(
-    sharded: ShardedModel,
+    sharded: Shard,
     local_trace: GenerationTrace,
     capture: list[bytes],
     tokenizer: Tokenizer,
@@ -157,19 +156,3 @@ def save_capture(path: str | Path, capture: list[bytes]) -> None:
         for raw in capture:
             fh.write(_LEN.pack(len(raw)))
             fh.write(raw)
-
-
-def load_capture(path: str | Path) -> list[bytes]:
-    capture = []
-    data = Path(path).read_bytes()
-    off = 0
-    while off < len(data):
-        if off + 4 > len(data):
-            raise ValueError("capture file truncated in a length prefix")
-        (length,) = _LEN.unpack_from(data, off)
-        off += 4
-        if off + length > len(data):
-            raise ValueError("capture file truncated in a packet body")
-        capture.append(data[off : off + length])
-        off += length
-    return capture

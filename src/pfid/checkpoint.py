@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import LayerWeights, ModelConfig, TransformerModel
-from .shard import ClientShards, MiddleShard, ShardSpec, ShardedModel
+from .shard import Shard, ShardSpec, split
 
 __all__ = [
     "CheckpointError",
@@ -36,47 +36,42 @@ MAGIC = b"PFIDMDL1"
 VERSION = 1
 ROLE_FULL, ROLE_CLIENT, ROLE_MIDDLE = 0, 1, 2
 
+# what each role holds: the view of the model it writes and reads
+_ROLES = {
+    ROLE_FULL: ("full-model checkpoint", lambda model: model),
+    ROLE_CLIENT: ("client export", Shard.client),
+    ROLE_MIDDLE: ("middle export", Shard.middle),
+}
+
 _HEADER = struct.Struct("<8sIIIIIIIIIIQ")
 # magic, version, role, split_k, split_n,
 # n_layers, d_model, n_heads, d_ff, vocab_size, max_seq, seed
-
-_LAYER_FIELDS = ("wq", "wk", "wv", "wo", "w1", "w2", "g_attn", "g_ff")
 
 
 class CheckpointError(Exception):
     pass
 
 
-def _layer_shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
-    d, f = cfg.d_model, cfg.d_ff
-    return [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d), (d,), (d,)]
+def _layout(cfg: ModelConfig, role: int, spec: ShardSpec | None) -> TransformerModel:
+    """A role's view with shape-only placeholder weights. Its param_slots()
+    order is the file order: embedding, pos, each held layer, g_final,
+    lm_head."""
+    d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
+    layer_shapes = [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d), (d,), (d,)]
 
+    def blank(shape):
+        return np.broadcast_to(0.0, shape)
 
-def _write(fh, arrays) -> None:
-    for a in arrays:
-        fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
-
-
-def _read(fh, shapes) -> list[np.ndarray]:
-    out = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        raw = fh.read(4 * count)
-        if len(raw) != 4 * count:
-            raise CheckpointError("checkpoint truncated")
-        out.append(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape))
-    return out
-
-
-def _layer_arrays(layers: list[LayerWeights]):
-    for lw in layers:
-        for name in _LAYER_FIELDS:
-            yield getattr(lw, name)
-
-
-def _read_layers(fh, cfg: ModelConfig, count: int) -> list[LayerWeights]:
-    shapes = _layer_shapes(cfg)
-    return [LayerWeights(*_read(fh, shapes)) for _ in range(count)]
+    model = TransformerModel(
+        config=cfg,
+        embedding=blank((v, d)),
+        pos=blank((cfg.max_seq, d)),
+        layers=[LayerWeights(*map(blank, layer_shapes)) for _ in range(cfg.n_layers)],
+        g_final=blank((d,)),
+        lm_head=blank((d, v)),
+    )
+    view = _ROLES[role][1]
+    return view(model if spec is None else split(model, spec))
 
 
 def _header_bytes(cfg: ModelConfig, role: int, spec: ShardSpec | None) -> bytes:
@@ -102,7 +97,7 @@ def _read_header(fh) -> tuple[int, ShardSpec | None, ModelConfig]:
         raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if role not in (ROLE_FULL, ROLE_CLIENT, ROLE_MIDDLE):
+    if role not in _ROLES:
         raise CheckpointError(f"unknown shard role {role}")
     cfg = ModelConfig(
         n_layers=n_layers, d_model=d, n_heads=heads, d_ff=dff,
@@ -115,67 +110,54 @@ def _read_header(fh) -> tuple[int, ShardSpec | None, ModelConfig]:
     return role, spec, cfg
 
 
-def save_model(path: str | Path, model: TransformerModel) -> None:
-    cfg = model.config
+def _save(path: str | Path, role: int, model: TransformerModel) -> None:
+    spec = None if role == ROLE_FULL else model.spec
     with open(path, "wb") as fh:
-        fh.write(_header_bytes(cfg, ROLE_FULL, None))
-        _write(fh, [model.embedding, model.pos])
-        _write(fh, _layer_arrays(model.layers))
-        _write(fh, [model.g_final, model.lm_head])
+        fh.write(_header_bytes(model.config, role, spec))
+        for a in _ROLES[role][1](model).param_tensors().values():
+            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+
+
+def _load(path: str | Path, role: int) -> TransformerModel:
+    with open(path, "rb") as fh:
+        found, spec, cfg = _read_header(fh)
+        if found != role:
+            raise CheckpointError(f"expected a {_ROLES[role][0]}, found role {found}")
+        model = _layout(cfg, role, spec)
+        for owner, attr in model.param_slots().values():
+            blank = getattr(owner, attr)
+            raw = fh.read(4 * blank.size)
+            if len(raw) != 4 * blank.size:
+                raise CheckpointError("checkpoint truncated")
+            weights = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            setattr(owner, attr, weights.reshape(blank.shape))
+    return model
+
+
+def save_model(path: str | Path, model: TransformerModel) -> None:
+    _save(path, ROLE_FULL, model)
 
 
 def load_model(path: str | Path) -> TransformerModel:
-    with open(path, "rb") as fh:
-        role, _, cfg = _read_header(fh)
-        if role != ROLE_FULL:
-            raise CheckpointError(f"expected a full-model checkpoint, found role {role}")
-        emb, pos = _read(fh, [(cfg.vocab_size, cfg.d_model), (cfg.max_seq, cfg.d_model)])
-        layers = _read_layers(fh, cfg, cfg.n_layers)
-        g_final, lm_head = _read(fh, [(cfg.d_model,), (cfg.d_model, cfg.vocab_size)])
-    return TransformerModel(
-        config=cfg, embedding=emb, pos=pos, layers=layers,
-        g_final=g_final, lm_head=lm_head,
-    )
+    return _load(path, ROLE_FULL)
 
 
-def save_client(path: str | Path, sharded: ShardedModel) -> None:
-    cfg = sharded.config
-    with open(path, "wb") as fh:
-        fh.write(_header_bytes(cfg, ROLE_CLIENT, sharded.spec))
-        _write(fh, [sharded.embedding, sharded.pos])
-        _write(fh, _layer_arrays(sharded.head_layers))
-        _write(fh, _layer_arrays(sharded.tail_layers))
-        _write(fh, [sharded.g_final, sharded.lm_head])
+def save_client(path: str | Path, sharded: Shard) -> None:
+    """Head and tail layers plus embedding and LM head of a split model."""
+    _save(path, ROLE_CLIENT, sharded)
 
 
-def load_client(path: str | Path) -> ClientShards:
-    with open(path, "rb") as fh:
-        role, spec, cfg = _read_header(fh)
-        if role != ROLE_CLIENT:
-            raise CheckpointError(f"expected a client export, found role {role}")
-        emb, pos = _read(fh, [(cfg.vocab_size, cfg.d_model), (cfg.max_seq, cfg.d_model)])
-        head = _read_layers(fh, cfg, spec.split_k)
-        tail = _read_layers(fh, cfg, cfg.n_layers - spec.split_n)
-        g_final, lm_head = _read(fh, [(cfg.d_model,), (cfg.d_model, cfg.vocab_size)])
-    return ClientShards(
-        config=cfg, spec=spec, embedding=emb, pos=pos,
-        head_layers=head, tail_layers=tail, g_final=g_final, lm_head=lm_head,
-    )
+def load_client(path: str | Path) -> Shard:
+    return _load(path, ROLE_CLIENT)
 
 
-def save_middle(path: str | Path, sharded: ShardedModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_header_bytes(sharded.config, ROLE_MIDDLE, sharded.spec))
-        _write(fh, _layer_arrays(sharded.middle_layers))
+def save_middle(path: str | Path, sharded: Shard) -> None:
+    """The middle layers of a split model, nothing else."""
+    _save(path, ROLE_MIDDLE, sharded)
 
 
-def load_middle(path: str | Path) -> MiddleShard:
-    with open(path, "rb") as fh:
-        role, spec, cfg = _read_header(fh)
-        if role != ROLE_MIDDLE:
-            raise CheckpointError(f"expected a middle export, found role {role}")
-        layers = _read_layers(fh, cfg, spec.split_n - spec.split_k)
-    return MiddleShard(config=cfg, spec=spec, middle_layers=layers)
+def load_middle(path: str | Path) -> Shard:
+    return _load(path, ROLE_MIDDLE)
 
 
 def checkpoint_role(path: str | Path) -> int:

@@ -30,7 +30,6 @@ from .protocol import (
     PfidConfig,
     ProtocolError,
     client_generate,
-    ledger_from_trace,
     packet_bytes_for,
     run_local_sim,
     serve_middle,
@@ -277,7 +276,7 @@ def _run_suite(model, tokenizer, config, prompts) -> dict:
         if sim.pipeline.text:
             local_bleu.append(bleu(sim.local.text, sim.pipeline.text, "char"))
             eaves_bleu.append(bleu(eaves.text, sim.pipeline.text, "char"))
-        bytes_total += sim.ledger.total_up + sim.ledger.total_down
+        bytes_total += sim.wire_bytes
         tokens_total += len(sim.local.steps)
     return {
         "local_agreement": float(np.mean(local_agr)),
@@ -339,7 +338,7 @@ def cmd_report(args) -> int:
     remnant = remnant_generate(sharded, sim.local, sim.capture, tokenizer)
     report = build_eval_report(
         sim.pipeline, sim.local, sim.eavesdroppers, remnant=remnant,
-        comm_ratio=sim.ledger.ratio,
+        comm_ratio=sim.comm_ratio,
     )
     report_path = out_dir / "report.json"
     report.save(report_path)

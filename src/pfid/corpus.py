@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_corpus", "heldout_prompts", "DEFAULT_PROMPT_LEN"]
+__all__ = ["build_corpus", "heldout_prompts", "DEFAULT_PROMPT_LEN", "MAX_LINE_LEN"]
 
 DEFAULT_PROMPT_LEN = 12
 
@@ -30,25 +30,32 @@ _HOUSE_NUMS = ["7", "12", "23", "38", "45", "61", "77", "94"]
 _HOURS = ["1", "2", "3", "4", "5", "6", "7", "8"]
 
 
-def _pick(rng: np.random.Generator, pool: list[str]) -> str:
-    return pool[rng.integers(len(pool))]
+# One template per line kind; each takes the line's two names and a pick
+# function that draws from a pool. Pools are drawn in reading order.
+_TEMPLATES = [
+    lambda name, other, pick: f"{name} called {other} at 555-{pick(_PHONES)}.",
+    lambda name, other, pick: f"the {pick(_INDICES)} index rose {pick(_PCTS)}% yesterday.",
+    lambda name, other, pick: f"{name} is {pick(_AGES)} years old.",
+    lambda name, other, pick: f"send {pick(_AMOUNTS)} dollars to account {pick(_ACCOUNTS)}.",
+    lambda name, other, pick: f"{name} lives at {pick(_HOUSE_NUMS)} {pick(_STREETS)} street.",
+    lambda name, other, pick: f"meet {name} at {pick(_HOURS)} pm on {pick(_DAYS)}.",
+]
+
+
+def _longest(pool: list[str]) -> str:
+    return max(pool, key=len)
+
+
+# the longest line any template can produce
+MAX_LINE_LEN = max(len(t(_longest(_NAMES), _longest(_NAMES), _longest)) for t in _TEMPLATES)
 
 
 def _line(rng: np.random.Generator) -> str:
-    name = _pick(rng, _NAMES)
-    other = _pick(rng, _NAMES)
-    kind = int(rng.integers(6))
-    if kind == 0:
-        return f"{name} called {other} at 555-{_pick(rng, _PHONES)}."
-    if kind == 1:
-        return f"the {_pick(rng, _INDICES)} index rose {_pick(rng, _PCTS)}% yesterday."
-    if kind == 2:
-        return f"{name} is {_pick(rng, _AGES)} years old."
-    if kind == 3:
-        return f"send {_pick(rng, _AMOUNTS)} dollars to account {_pick(rng, _ACCOUNTS)}."
-    if kind == 4:
-        return f"{name} lives at {_pick(rng, _HOUSE_NUMS)} {_pick(rng, _STREETS)} street."
-    return f"meet {name} at {_pick(rng, _HOURS)} pm on {_pick(rng, _DAYS)}."
+    def pick(pool: list[str]) -> str:
+        return pool[rng.integers(len(pool))]
+
+    name, other = pick(_NAMES), pick(_NAMES)
+    return _TEMPLATES[int(rng.integers(len(_TEMPLATES)))](name, other, pick)
 
 
 def build_corpus(n_lines: int = 600, seed: int = 1234) -> str:
@@ -63,7 +70,10 @@ def heldout_prompts(
     n: int = 50, seed: int = 9876, prompt_len: int = DEFAULT_PROMPT_LEN
 ) -> list[str]:
     """Evaluation prompts: prefixes of fresh lines drawn from the same
-    templates with a different seed."""
+    templates with a different seed. Only lines longer than prompt_len
+    qualify, so prompt_len must be below MAX_LINE_LEN."""
+    if not (1 <= prompt_len < MAX_LINE_LEN):
+        raise ValueError(f"prompt_len must be in 1..{MAX_LINE_LEN - 1}, got {prompt_len}")
     rng = np.random.default_rng(seed)
     prompts = []
     while len(prompts) < n:

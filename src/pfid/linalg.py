@@ -15,20 +15,19 @@ import numpy as np
 __all__ = [
     "Matrix",
     "TruncatedFactors",
-    "matmul",
     "truncated_svd",
     "reconstruct",
     "ratio_to_rank",
     "add_noise",
     "nuclear_norm",
-    "frobenius_norm",
 ]
 
 Matrix = np.ndarray
 
 # Randomized-SVD knobs: oversampling past the target rank plus a couple of
-# power iterations keeps the reconstruction error within 1e-3 relative of the
-# optimal rank-k error at the matrix sizes this package works with.
+# power iterations. On the default model (d = 64, n up to 127) the Frobenius
+# reconstruction error was measured up to 1.7 % above the optimal rank-k
+# (Eckart-Young) error; the dense path taken for small sketches is optimal.
 RSVD_OVERSAMPLE = 8
 RSVD_POWER_ITERS = 2
 
@@ -81,15 +80,6 @@ class TruncatedFactors:
             gram_err = np.linalg.norm(mat.T @ mat - np.eye(self.k))
             if gram_err > ORTHONORMALITY_TOL * self.k:
                 raise ValueError(f"{label} columns not orthonormal (|g - I|_F = {gram_err:.2e})")
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Dense product a @ b with explicit shape checking."""
-    a = check_matrix(a, "a")
-    b = check_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _fix_signs(u: Matrix, v: Matrix) -> tuple[Matrix, Matrix]:
@@ -173,9 +163,3 @@ def nuclear_norm(h: Matrix) -> float:
     """Sum of singular values."""
     h = check_matrix(h, "h")
     return float(np.linalg.svd(h, compute_uv=False).sum())
-
-
-def frobenius_norm(h: Matrix) -> float:
-    """Square root of the sum of squared entries."""
-    h = check_matrix(h, "h")
-    return float(np.linalg.norm(h))

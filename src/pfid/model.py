@@ -11,7 +11,7 @@ on the transposed n x d layout and converts at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "TransformerModel",
     "SamplingParams",
     "init_model",
+    "layer_forward",
     "embed",
     "forward_layers",
     "logits",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 RMS_EPS = 1e-5
+GELU_C = 0.7978845608028654  # sqrt(2 / pi)
+GELU_A = 0.044715
 
 
 @dataclass(frozen=True)
@@ -75,15 +78,22 @@ class TransformerModel:
     g_final: np.ndarray        # d
     lm_head: Matrix            # d x vocab
 
-    def param_tensors(self) -> dict[str, np.ndarray]:
-        """Named weight tensors in a stable declared order."""
-        out = {"embedding": self.embedding, "pos": self.pos}
+    def param_slots(self) -> dict[str, tuple[object, str]]:
+        """Where each weight tensor lives, as (owner, attribute), by name in
+        a stable declared order; weights a shard withholds (None) are left
+        out."""
+        out = {"embedding": (self, "embedding"), "pos": (self, "pos")}
         for i, lw in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo", "w1", "w2", "g_attn", "g_ff"):
-                out[f"layer{i}.{name}"] = getattr(lw, name)
-        out["g_final"] = self.g_final
-        out["lm_head"] = self.lm_head
-        return out
+            if lw is not None:
+                for f in fields(LayerWeights):
+                    out[f"layer{i}.{f.name}"] = (lw, f.name)
+        out["g_final"] = (self, "g_final")
+        out["lm_head"] = (self, "lm_head")
+        return {name: slot for name, slot in out.items() if getattr(*slot) is not None}
+
+    def param_tensors(self) -> dict[str, np.ndarray]:
+        """Named weight tensors, in param_slots order."""
+        return {name: getattr(*slot) for name, slot in self.param_slots().items()}
 
 
 @dataclass(frozen=True)
@@ -135,19 +145,14 @@ def init_model(config: ModelConfig) -> TransformerModel:
     )
 
 
-def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
-    return x * scale * gain
+def _rms_scale(x: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
 
 
 def _gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # tanh approximation; x*x instead of x**2 to stay on the fast ufunc path
-    t = np.tanh(0.7978845608028654 * x * (1.0 + 0.044715 * (x * x)))
+    t = np.tanh(GELU_C * x * (1.0 + GELU_A * (x * x)))
     return 0.5 * x * (1.0 + t), t
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return _gelu_with_tanh(x)[0]
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -156,44 +161,69 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention(lw: LayerWeights, x: np.ndarray, n_heads: int) -> np.ndarray:
-    n, d = x.shape
+def _attention_block(
+    lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None
+) -> np.ndarray:
+    *lead, t_len, d = x.shape
     dh = d // n_heads
-    q = (x @ lw.wq).reshape(n, n_heads, dh).transpose(1, 0, 2)
-    k = (x @ lw.wk).reshape(n, n_heads, dh).transpose(1, 0, 2)
-    v = (x @ lw.wv).reshape(n, n_heads, dh).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh)
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    scores = np.where(mask, -np.inf, scores)
-    probs = _softmax_rows(scores)
-    out = (probs @ v).transpose(1, 0, 2).reshape(n, d)
-    return out @ lw.wo
+    inv = _rms_scale(x)
+    a = x * inv * lw.g_attn
+    q, k, v = (
+        (a @ w).reshape(*lead, t_len, n_heads, dh).swapaxes(-3, -2)
+        for w in (lw.wq, lw.wk, lw.wv)
+    )
+    mask = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)
+    p = _softmax_rows(np.where(mask, -np.inf, q @ k.swapaxes(-1, -2) / np.sqrt(dh)))
+    attn = (p @ v).swapaxes(-3, -2).reshape(*lead, t_len, d)
+    if cache is not None:
+        cache += (x, inv, a, q, k, v, p, attn)
+    return attn @ lw.wo
 
 
-def _layer_forward(lw: LayerWeights, x: np.ndarray, n_heads: int) -> np.ndarray:
-    x = x + _attention(lw, _rms_norm(x, lw.g_attn), n_heads)
-    x = x + _gelu(_rms_norm(x, lw.g_ff) @ lw.w1) @ lw.w2
-    return x
+def _feed_forward_block(lw: LayerWeights, x: np.ndarray, cache: list | None) -> np.ndarray:
+    inv = _rms_scale(x)
+    b = x * inv * lw.g_ff
+    u1 = b @ lw.w1
+    g, t = _gelu_with_tanh(u1)
+    if cache is not None:
+        cache += (x, inv, b, u1, g, t)
+    # Free what only the backward pass needs before the last product: held
+    # through it, the higher heap peak makes glibc trim and refault its heap
+    # on every layer at short contexts.
+    del inv, b, u1, t
+    return g @ lw.w2
 
 
-def _embed_tokens(embedding: Matrix, pos: Matrix, tokens: list[int], vocab: int) -> np.ndarray:
-    if len(tokens) == 0:
-        raise ValueError("cannot embed an empty token sequence")
-    if len(tokens) > pos.shape[0]:
-        raise ValueError(f"sequence length {len(tokens)} exceeds max_seq {pos.shape[0]}")
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= vocab:
-        raise ValueError(f"token id out of range 0..{vocab - 1}")
-    return embedding[ids] + pos[: len(ids)]
+def layer_forward(
+    lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None = None
+) -> np.ndarray:
+    """One pre-norm decoder block on a (..., T, d) state with causal masking.
+
+    Inference runs it on n x d, training on B x T x d. When a cache list is
+    given, the 14 intermediates the analytic backward pass needs are
+    appended to it.
+    """
+    x = x + _attention_block(lw, x, n_heads, cache)
+    return x + _feed_forward_block(lw, x, cache)
 
 
-def _lm_logits(g_final: np.ndarray, lm_head: Matrix, x: np.ndarray) -> np.ndarray:
-    return _rms_norm(x, g_final) @ lm_head
+def _check_hidden(model: TransformerModel, h: Matrix, name: str) -> Matrix:
+    h = check_matrix(h, name)
+    if h.shape[0] != model.config.d_model:
+        raise ValueError(f"hidden state has {h.shape[0]} rows, expected {model.config.d_model}")
+    return h
 
 
 def embed(model: TransformerModel, tokens: list[int]) -> Matrix:
     """Token + positional embedding, as a d x n hidden state."""
-    return _embed_tokens(model.embedding, model.pos, tokens, model.config.vocab_size).T
+    if len(tokens) == 0:
+        raise ValueError("cannot embed an empty token sequence")
+    if len(tokens) > model.pos.shape[0]:
+        raise ValueError(f"sequence length {len(tokens)} exceeds max_seq {model.pos.shape[0]}")
+    ids = np.asarray(tokens, dtype=np.int64)
+    if ids.min() < 0 or ids.max() >= model.config.vocab_size:
+        raise ValueError(f"token id out of range 0..{model.config.vocab_size - 1}")
+    return (model.embedding[ids] + model.pos[: len(ids)]).T
 
 
 def forward_layers(model: TransformerModel, start: int, stop: int, h_in: Matrix) -> Matrix:
@@ -202,24 +232,20 @@ def forward_layers(model: TransformerModel, start: int, stop: int, h_in: Matrix)
         raise ValueError(
             f"bad layer range [{start}, {stop}) for {model.config.n_layers} layers"
         )
-    h_in = check_matrix(h_in, "h_in")
-    if h_in.shape[0] != model.config.d_model:
-        raise ValueError(f"hidden state has {h_in.shape[0]} rows, expected {model.config.d_model}")
+    h_in = _check_hidden(model, h_in, "h_in")
     # materialize the transpose so BLAS sees the same layout regardless of
     # whether the state arrived from embed() or off the wire; keeps sharded
     # and monolithic forwards bit-identical
     x = np.ascontiguousarray(h_in.T)
     for lw in model.layers[start:stop]:
-        x = _layer_forward(lw, x, model.config.n_heads)
+        x = layer_forward(lw, x, model.config.n_heads)
     return x.T
 
 
 def logits(model: TransformerModel, h: Matrix) -> Matrix:
     """Final norm + LM head: d x n hidden state to vocab x n logits."""
-    h = check_matrix(h, "h")
-    if h.shape[0] != model.config.d_model:
-        raise ValueError(f"hidden state has {h.shape[0]} rows, expected {model.config.d_model}")
-    return _lm_logits(model.g_final, model.lm_head, np.ascontiguousarray(h.T)).T
+    x = np.ascontiguousarray(_check_hidden(model, h, "h").T)
+    return (x * _rms_scale(x) * model.g_final @ model.lm_head).T
 
 
 def filtered_distribution(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +37,7 @@ from .linalg import (
     truncated_svd,
 )
 from .model import SamplingParams, TransformerModel, pipeline_generate, sample_next
-from .shard import ClientShards, MiddleShard, ShardSpec, head_forward, middle_forward, split, tail_forward
+from .shard import Shard, ShardSpec, head_forward, middle_forward, split, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord, top5_fingerprint
 from .transport import CapturingTransport, InMemoryTransport, TransportClosed, TransportError
@@ -52,7 +52,6 @@ __all__ = [
     "RemoteProtocolError",
     "PfidConfig",
     "Packet",
-    "CommLedger",
     "SimResult",
     "PKT_MAGIC",
     "PKT_HEADER_BYTES",
@@ -69,7 +68,7 @@ __all__ = [
     "client_generate",
     "serve_middle",
     "run_local_sim",
-    "ledger_from_trace",
+    "comm_bytes",
     "packet_bytes_for",
 ]
 
@@ -168,12 +167,7 @@ class PfidConfig:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "PfidConfig":
-        known = {
-            "layer_range", "omega", "phead", "ptail", "temperature", "top_p",
-            "top_k", "max_new_tokens", "greedy", "seed", "bypass_svd_at_zero",
-            "noise_sigma",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls().to_dict())
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         base = cls()
@@ -356,7 +350,7 @@ def _encode_upstream(h_head: Matrix, config: PfidConfig, step: int) -> tuple[byt
 
 
 def client_generate(
-    client: ClientShards,
+    client: Shard,
     tokenizer: Tokenizer,
     transport,
     config: PfidConfig,
@@ -426,7 +420,7 @@ def client_generate(
     return trace
 
 
-def _handle_request(middle: MiddleShard, config: PfidConfig, data: bytes) -> bytes:
+def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
     step = _NO_STEP
     if len(data) >= PKT_HEADER_BYTES:
         step = _HDR.unpack_from(data)[6]
@@ -464,7 +458,7 @@ def _handle_request(middle: MiddleShard, config: PfidConfig, data: bytes) -> byt
         return encode_error_packet(ERR_INTERNAL, step, f"server failure: {e}")
 
 
-def serve_middle(middle: MiddleShard, transport, config: PfidConfig) -> None:
+def serve_middle(middle: Shard, transport, config: PfidConfig) -> None:
     """Serve requests on one connection until the peer closes it.
 
     Stateless between tokens: every request carries its own dimensions and
@@ -479,40 +473,11 @@ def serve_middle(middle: MiddleShard, transport, config: PfidConfig) -> None:
         transport.send_bytes(_handle_request(middle, config, data))
 
 
-@dataclass
-class CommLedger:
-    """Measured wire bytes per generated token, against the untruncated
-    baseline of one binary32 d x n matrix per direction per token."""
-
-    bytes_up: list[int] = field(default_factory=list)
-    bytes_down: list[int] = field(default_factory=list)
-    baseline: list[int] = field(default_factory=list)
-
-    @property
-    def total_up(self) -> int:
-        return sum(self.bytes_up)
-
-    @property
-    def total_down(self) -> int:
-        return sum(self.bytes_down)
-
-    @property
-    def total_baseline(self) -> int:
-        return sum(self.baseline)
-
-    @property
-    def ratio(self) -> float:
-        base = self.total_baseline
-        return (self.total_up + self.total_down) / base if base else float("nan")
-
-
-def ledger_from_trace(trace: GenerationTrace, d: int) -> CommLedger:
-    ledger = CommLedger()
-    for s in trace.steps:
-        ledger.bytes_up.append(s.bytes_up)
-        ledger.bytes_down.append(s.bytes_down)
-        ledger.baseline.append(2 * 4 * d * s.n_ctx)
-    return ledger
+def comm_bytes(trace: GenerationTrace, d: int) -> tuple[int, int]:
+    """Wire bytes of a trace, both directions, and the untruncated baseline
+    of one binary32 d x n matrix per direction per token."""
+    sent = sum(s.bytes_up + s.bytes_down for s in trace.steps)
+    return sent, sum(2 * 4 * d * s.n_ctx for s in trace.steps)
 
 
 @dataclass
@@ -521,7 +486,8 @@ class SimResult:
     local: GenerationTrace
     eavesdroppers: dict[str, GenerationTrace]
     capture: list[bytes]
-    ledger: CommLedger
+    wire_bytes: int
+    comm_ratio: float  # wire bytes over the binary32 baseline
 
 
 def run_local_sim(
@@ -567,10 +533,12 @@ def run_local_sim(
         )
         for mode in AdversaryMode
     }
+    sent, baseline = comm_bytes(local, model.config.d_model)
     return SimResult(
         pipeline=pipeline,
         local=local,
         eavesdroppers=eavesdroppers,
         capture=capture,
-        ledger=ledger_from_trace(local, model.config.d_model),
+        wire_bytes=sent,
+        comm_ratio=sent / baseline if baseline else float("nan"),
     )

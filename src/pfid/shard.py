@@ -8,25 +8,14 @@ can both start and finish decoding locally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
-from .linalg import Matrix, check_matrix
-from .model import (
-    LayerWeights,
-    ModelConfig,
-    TransformerModel,
-    _embed_tokens,
-    _layer_forward,
-    _lm_logits,
-)
+from .linalg import Matrix
+from .model import TransformerModel, embed, forward_layers, logits
 
 __all__ = [
     "ShardSpec",
-    "ShardedModel",
-    "ClientShards",
-    "MiddleShard",
+    "Shard",
     "split",
     "head_forward",
     "middle_forward",
@@ -50,93 +39,45 @@ class ShardSpec:
 
 
 @dataclass
-class ClientShards:
-    """What the client deploys: head and tail plus embedding and LM head."""
+class Shard(TransformerModel):
+    """A layer-range view of a model plus its split points.
 
-    config: ModelConfig
+    Weights the view withholds are None, with `layers` still indexed by
+    absolute layer number. `split` gives the full view; `.client()` holds
+    the head and tail with the embedding and LM head; `.middle()` holds the
+    middle layers only.
+    """
+
     spec: ShardSpec
-    embedding: Matrix
-    pos: Matrix
-    head_layers: list[LayerWeights]
-    tail_layers: list[LayerWeights]
-    g_final: np.ndarray
-    lm_head: Matrix
+
+    def client(self) -> Shard:
+        k, n = self.spec.split_k, self.spec.split_n
+        layers = [None if k <= i < n else lw for i, lw in enumerate(self.layers)]
+        return replace(self, layers=layers)
+
+    def middle(self) -> Shard:
+        k, n = self.spec.split_k, self.spec.split_n
+        layers = [lw if k <= i < n else None for i, lw in enumerate(self.layers)]
+        return replace(self, embedding=None, pos=None, layers=layers, g_final=None, lm_head=None)
 
 
-@dataclass
-class MiddleShard:
-    """What the server deploys: the proprietary middle layers only."""
-
-    config: ModelConfig
-    spec: ShardSpec
-    middle_layers: list[LayerWeights]
-
-
-@dataclass
-class ShardedModel:
-    config: ModelConfig
-    spec: ShardSpec
-    embedding: Matrix
-    pos: Matrix
-    head_layers: list[LayerWeights]
-    middle_layers: list[LayerWeights]
-    tail_layers: list[LayerWeights]
-    g_final: np.ndarray
-    lm_head: Matrix
-
-    def client(self) -> ClientShards:
-        return ClientShards(
-            config=self.config, spec=self.spec, embedding=self.embedding, pos=self.pos,
-            head_layers=self.head_layers, tail_layers=self.tail_layers,
-            g_final=self.g_final, lm_head=self.lm_head,
-        )
-
-    def middle(self) -> MiddleShard:
-        return MiddleShard(config=self.config, spec=self.spec, middle_layers=self.middle_layers)
-
-
-def split(model: TransformerModel, spec: ShardSpec) -> ShardedModel:
+def split(model: TransformerModel, spec: ShardSpec) -> Shard:
     """Partition a model by layer range; the original model is untouched."""
     spec.validate(model.config.n_layers)
-    return ShardedModel(
-        config=model.config,
-        spec=spec,
-        embedding=model.embedding,
-        pos=model.pos,
-        head_layers=model.layers[: spec.split_k],
-        middle_layers=model.layers[spec.split_k : spec.split_n],
-        tail_layers=model.layers[spec.split_n :],
-        g_final=model.g_final,
-        lm_head=model.lm_head,
-    )
+    weights = {f.name: getattr(model, f.name) for f in fields(TransformerModel)}
+    weights["layers"] = list(model.layers)
+    return Shard(**weights, spec=spec)
 
 
-def _run_layers(layers: list[LayerWeights], h: Matrix, n_heads: int) -> Matrix:
-    # same layout normalization as model.forward_layers, for bit-exact
-    # equality between sharded and monolithic execution
-    x = np.ascontiguousarray(h.T)
-    for lw in layers:
-        x = _layer_forward(lw, x, n_heads)
-    return x.T
-
-
-def head_forward(shard: ShardedModel | ClientShards, tokens: list[int]) -> Matrix:
+def head_forward(shard: Shard, tokens: list[int]) -> Matrix:
     """Embedding plus the head layer range; d x n output."""
-    h = _embed_tokens(shard.embedding, shard.pos, tokens, shard.config.vocab_size).T
-    return _run_layers(shard.head_layers, h, shard.config.n_heads)
+    return forward_layers(shard, 0, shard.spec.split_k, embed(shard, tokens))
 
 
-def middle_forward(shard: ShardedModel | MiddleShard, h: Matrix) -> Matrix:
-    h = check_matrix(h, "h")
-    if h.shape[0] != shard.config.d_model:
-        raise ValueError(f"hidden state has {h.shape[0]} rows, expected {shard.config.d_model}")
-    return _run_layers(shard.middle_layers, h, shard.config.n_heads)
+def middle_forward(shard: Shard, h: Matrix) -> Matrix:
+    return forward_layers(shard, shard.spec.split_k, shard.spec.split_n, h)
 
 
-def tail_forward(shard: ShardedModel | ClientShards, h: Matrix) -> Matrix:
+def tail_forward(shard: Shard, h: Matrix) -> Matrix:
     """Tail layer range plus final norm and LM head; vocab x n logits."""
-    h = check_matrix(h, "h")
-    if h.shape[0] != shard.config.d_model:
-        raise ValueError(f"hidden state has {h.shape[0]} rows, expected {shard.config.d_model}")
-    out = _run_layers(shard.tail_layers, h, shard.config.n_heads)
-    return _lm_logits(shard.g_final, shard.lm_head, np.ascontiguousarray(out.T)).T
+    return logits(shard, forward_layers(shard, shard.spec.split_n, shard.config.n_layers, h))

@@ -1,35 +1,28 @@
 """Next-token training for the toy transformer.
 
 Forward, analytic backward and an Adam loop, all in numpy float64. The
-backward pass mirrors model.py's forward exactly (same RMS norm, same tanh
-GELU, same masked softmax) so finite-difference checks validate the real
-inference path.
+forward pass is model.layer_forward itself, run on B x T x d with its
+intermediates cached for the backward pass, so finite-difference checks
+validate the real inference path.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RMS_EPS, LayerWeights, ModelConfig, TransformerModel, _gelu_with_tanh
+from .model import GELU_A, GELU_C, TransformerModel, _rms_scale, _softmax_rows, layer_forward
 from .tokenizer import Tokenizer, ascii96
 
 __all__ = ["train", "batch_loss", "loss_and_grads", "TrainResult"]
-
-_GELU_C = 0.7978845608028654
-_GELU_A = 0.044715
 
 
 @dataclass
 class TrainResult:
     model: TransformerModel
     losses: list[float]
-
-
-def _rms(x):
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
-    return x * inv, inv
 
 
 def _rms_backward(dy, x, inv, gain):
@@ -41,18 +34,12 @@ def _rms_backward(dy, x, inv, gain):
 
 
 def _gelu_backward(dy, x, t):
-    dt = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x)) * (1.0 - t * t)
+    dt = GELU_C * (1.0 + 3.0 * GELU_A * (x * x)) * (1.0 - t * t)
     return dy * (0.5 * (1.0 + t) + 0.5 * x * dt)
 
 
 def _flat(x):
     return x.reshape(-1, x.shape[-1])
-
-
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def batch_loss(model: TransformerModel, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -72,33 +59,17 @@ def _forward_backward(model, inputs, targets, want_grads):
     cfg = model.config
     B, T = inputs.shape
     H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-    scale = 1.0 / np.sqrt(dh)
-    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
 
     x = model.embedding[inputs] + model.pos[:T]
     caches = []
     for lw in model.layers:
-        x_in = x
-        a_n, inv1 = _rms(x_in)
-        a = a_n * lw.g_attn
-        q = (a @ lw.wq).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-        k = (a @ lw.wk).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-        v = (a @ lw.wv).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-        scores = np.where(mask, -np.inf, q @ k.transpose(0, 1, 3, 2) * scale)
-        p = _softmax(scores)
-        attn = (p @ v).transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
-        x_mid = x_in + attn @ lw.wo
-        b_n, inv2 = _rms(x_mid)
-        b = b_n * lw.g_ff
-        u1 = b @ lw.w1
-        g, t = _gelu_with_tanh(u1)
-        x = x_mid + g @ lw.w2
-        caches.append((x_in, inv1, a, q, k, v, p, attn, x_mid, inv2, b, u1, g, t))
+        caches.append([])
+        x = layer_forward(lw, x, H, caches[-1])
 
-    y_n, inv_f = _rms(x)
-    y = y_n * model.g_final
+    inv_f = _rms_scale(x)
+    y = x * inv_f * model.g_final
     lg = y @ model.lm_head
-    probs = _softmax(lg)
+    probs = _softmax_rows(lg)
     idx_b, idx_t = np.meshgrid(np.arange(B), np.arange(T), indexing="ij")
     nll = -np.log(np.maximum(probs[idx_b, idx_t, targets], 1e-300))
     loss = float(nll.mean())
@@ -133,8 +104,8 @@ def _forward_backward(model, inputs, targets, want_grads):
         dp = dattn @ v.transpose(0, 1, 3, 2)
         dv = p.transpose(0, 1, 3, 2) @ dattn
         ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
-        dq = ds @ k * scale
-        dk = ds.transpose(0, 1, 3, 2) @ q * scale
+        dq = ds @ k / np.sqrt(dh)
+        dk = ds.transpose(0, 1, 3, 2) @ q / np.sqrt(dh)
         dq = dq.transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
         dk = dk.transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
         dv = dv.transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
@@ -184,13 +155,12 @@ def train(
     if len(ids) < 4:
         raise ValueError("corpus too short to form a training window")
 
-    cfg = model.config
-    params = {k: v.copy() for k, v in model.param_tensors().items()}
+    work = copy.deepcopy(model)
+    params = work.param_tensors()  # work's own arrays, updated in place below
     m1 = {k: np.zeros_like(v) for k, v in params.items()}
     m2 = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    work = _rebuild(cfg, params)  # params arrays are updated in place below
     rng = np.random.default_rng(seed)
     losses = []
     for step in range(1, steps + 1):
@@ -207,18 +177,3 @@ def train(
             params[name] -= lr * mhat / (np.sqrt(vhat) + eps)
     return TrainResult(model=work, losses=losses)
 
-
-def _rebuild(cfg: ModelConfig, params: dict[str, np.ndarray]) -> TransformerModel:
-    layers = [
-        LayerWeights(**{n: params[f"layer{i}.{n}"] for n in
-                        ("wq", "wk", "wv", "wo", "w1", "w2", "g_attn", "g_ff")})
-        for i in range(cfg.n_layers)
-    ]
-    return TransformerModel(
-        config=cfg,
-        embedding=params["embedding"],
-        pos=params["pos"],
-        layers=layers,
-        g_final=params["g_final"],
-        lm_head=params["lm_head"],
-    )

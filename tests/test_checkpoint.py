@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,45 @@ def test_short_header_rejected(tmp_path):
     path.write_bytes(b"PFIDMDL1")
     with pytest.raises(CheckpointError, match="short"):
         load_model(path)
+
+
+LAYER_TENSORS = ("wq", "wk", "wv", "wo", "w1", "w2", "g_attn", "g_ff")
+
+
+def expected_export(model, role, k, n, layer_ids, ends):
+    """The documented file layout, built here from the format description:
+    a 56-byte little-endian header, then each tensor as <f4 in order."""
+    c = model.config
+    header = struct.pack("<8s10IQ", b"PFIDMDL1", 1, role, k, n, c.n_layers, c.d_model,
+                         c.n_heads, c.d_ff, c.vocab_size, c.max_seq, c.seed)
+    assert len(header) == 56
+    arrays = [model.embedding, model.pos] if ends else []
+    for i in layer_ids:
+        arrays += [getattr(model.layers[i], name) for name in LAYER_TENSORS]
+    arrays += [model.g_final, model.lm_head] if ends else []
+    return header + b"".join(np.asarray(a, dtype="<f4").tobytes() for a in arrays)
+
+
+def test_export_bytes_follow_the_documented_layout(tmp_path, model):
+    sharded = split(model, ShardSpec(1, 3))
+    full, client, middle = tmp_path / "f.ckpt", tmp_path / "c.ckpt", tmp_path / "m.ckpt"
+    save_model(full, model)
+    save_client(client, sharded)
+    save_middle(middle, sharded)
+    assert full.read_bytes() == expected_export(model, ROLE_FULL, 0, 0, range(4), True)
+    assert client.read_bytes() == expected_export(model, ROLE_CLIENT, 1, 3, [0, 3], True)
+    assert middle.read_bytes() == expected_export(model, ROLE_MIDDLE, 1, 3, [1, 2], False)
+
+
+def test_loaded_roles_hold_only_their_weights(tmp_path, model):
+    sharded = split(model, ShardSpec(1, 3))
+    client_p, middle_p = tmp_path / "c.ckpt", tmp_path / "m.ckpt"
+    save_client(client_p, sharded)
+    save_middle(middle_p, sharded)
+    client, middle = load_client(client_p), load_middle(middle_p)
+    assert client.spec == middle.spec == ShardSpec(1, 3)
+    assert [lw is None for lw in client.layers] == [False, True, True, False]
+    assert [lw is None for lw in middle.layers] == [True, False, False, True]
+    assert middle.embedding is None and middle.pos is None
+    assert middle.g_final is None and middle.lm_head is None
+

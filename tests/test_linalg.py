@@ -8,25 +8,11 @@ from hypothesis import strategies as st
 from pfid.linalg import (
     TruncatedFactors,
     add_noise,
-    frobenius_norm,
-    matmul,
     nuclear_norm,
     ratio_to_rank,
     reconstruct,
     truncated_svd,
 )
-
-
-def triple_loop_matmul(a, b):
-    """Naive O(n^3) product, the independent oracle for matmul."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for t in range(a.shape[1]):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def singular_values_by_eigh(h):
@@ -40,31 +26,6 @@ def optimal_rank_k_error(h, k):
     """Frobenius error of the best rank-k approximation: sqrt(sum tail sv^2)."""
     sv = singular_values_by_eigh(h)
     return float(np.sqrt(np.sum(sv[k:] ** 2)))
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.random.default_rng(0).standard_normal((3, 4))
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        assert np.allclose(matmul(a, b), triple_loop_matmul(a, b), atol=1e-6)
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="non-finite"):
-            matmul(bad, np.eye(2))
 
 
 class TestTruncatedSvd:
@@ -253,12 +214,10 @@ class TestNorms:
     def test_diagonal_case(self):
         h = np.diag([3.0, 1.0])
         assert nuclear_norm(h) == pytest.approx(4.0)
-        assert frobenius_norm(h) == pytest.approx(np.sqrt(10.0))
 
     def test_zero_matrix(self):
         z = np.zeros((3, 5))
         assert nuclear_norm(z) == 0.0
-        assert frobenius_norm(z) == 0.0
 
     def test_nuclear_matches_eigendecomposition_oracle(self):
         h = np.random.default_rng(10).standard_normal((8, 8))

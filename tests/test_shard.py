@@ -11,6 +11,11 @@ def small_config(**kw):
     return ModelConfig(**base)
 
 
+def held(shard):
+    """Absolute indices of the layers a shard view holds."""
+    return [i for i, lw in enumerate(shard.layers) if lw is not None]
+
+
 def monolithic_logits(model, tokens):
     h = forward_layers(model, 0, model.config.n_layers, embed(model, tokens))
     return logits(model, h)
@@ -20,13 +25,16 @@ class TestSplit:
     def test_default_split_sizes(self):
         m = init_model(small_config())
         s = split(m, ShardSpec(3, 5))
-        assert (len(s.head_layers), len(s.middle_layers), len(s.tail_layers)) == (3, 2, 3)
+        assert held(s) == list(range(8))
+        assert held(s.client()) == [0, 1, 2, 5, 6, 7]
+        assert held(s.middle()) == [3, 4]
 
     def test_paper_scale_split_sizes(self):
         m = init_model(ModelConfig(n_layers=32, d_model=8, n_heads=2, d_ff=16,
                                    vocab_size=10, max_seq=8, seed=0))
         s = split(m, ShardSpec(13, 19))
-        assert (len(s.head_layers), len(s.middle_layers), len(s.tail_layers)) == (13, 6, 13)
+        assert held(s.client()) == list(range(13)) + list(range(19, 32))
+        assert held(s.middle()) == list(range(13, 19))
 
     def test_empty_head_rejected(self):
         m = init_model(small_config())
@@ -42,8 +50,28 @@ class TestSplit:
     def test_partition_is_exhaustive_and_copy_free(self):
         m = init_model(small_config())
         s = split(m, ShardSpec(2, 6))
-        combined = s.head_layers + s.middle_layers + s.tail_layers
+        combined = [c if c is not None else mid
+                    for c, mid in zip(s.client().layers, s.middle().layers)]
         assert [id(lw) for lw in combined] == [id(lw) for lw in m.layers]
+
+    def test_middle_view_holds_only_the_middle_layers(self):
+        m = init_model(small_config())
+        middle = split(m, ShardSpec(3, 5)).middle()
+        assert middle.embedding is None and middle.pos is None
+        assert middle.g_final is None and middle.lm_head is None
+        assert held(middle) == [3, 4]
+        assert list(middle.param_tensors()) == [
+            f"layer{i}.{name}" for i in (3, 4)
+            for name in ("wq", "wk", "wv", "wo", "w1", "w2", "g_attn", "g_ff")
+        ]
+
+    def test_client_view_holds_no_middle_layer(self):
+        m = init_model(small_config())
+        client = split(m, ShardSpec(3, 5)).client()
+        assert client.layers[3] is None and client.layers[4] is None
+        assert not any(name.startswith(("layer3.", "layer4.")) for name in client.param_tensors())
+        for name in ("embedding", "pos", "g_final", "lm_head"):
+            assert getattr(client, name) is getattr(m, name)
 
     def test_original_model_unchanged(self):
         m = init_model(small_config())
@@ -88,7 +116,7 @@ class TestShardForwards:
         h_head = head_forward(s, tokens)
         h_mid = middle_forward(s, h_head)
         lg_before = tail_forward(s, h_mid)
-        s.tail_layers[0].wq[0, 0] += 1.0
+        s.layers[5].wq[0, 0] += 1.0
         assert np.array_equal(head_forward(s, tokens), h_head)
         assert np.array_equal(middle_forward(s, h_head), h_mid)
         assert not np.array_equal(tail_forward(s, h_mid), lg_before)
