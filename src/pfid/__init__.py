@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .linalg import (  # noqa: E402,F401
     TruncatedFactors,
     add_noise,
-    nuclear_norm,
     ratio_to_rank,
     reconstruct,
     truncated_svd,

@@ -20,16 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import sample_next
-from .protocol import (
-    FieldError,
-    Packet,
-    PfidConfig,
-    ROLE_HEAD_FACTORS,
-    ROLE_HEAD_RAW,
-    ROLE_MID_FACTORS,
-    ROLE_MID_RAW,
-    decode_packet,
-)
+from .protocol import HEAD_ROLES, MID_ROLES, FieldError, Packet, PfidConfig, decode_packet
 from .shard import Shard, head_forward, middle_forward, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord, top5_fingerprint
@@ -56,9 +47,9 @@ def paired_packets(capture: list[bytes]) -> list[tuple[Packet, Packet]]:
     downs: dict[int, Packet] = {}
     for raw in capture:
         pkt = decode_packet(raw)
-        if pkt.role in (ROLE_HEAD_FACTORS, ROLE_HEAD_RAW):
+        if pkt.role in HEAD_ROLES:
             ups[pkt.step] = pkt
-        elif pkt.role in (ROLE_MID_FACTORS, ROLE_MID_RAW):
+        elif pkt.role in MID_ROLES:
             downs[pkt.step] = pkt
         else:
             raise FieldError(f"capture contains role {pkt.role} packet at step {pkt.step}")
@@ -92,12 +83,10 @@ def eavesdrop_generate(
         config=config.to_dict(),
     )
     for up, down in paired_packets(capture):
-        h_mid_hat = down.payload_matrix()
+        h = down.hidden()
         if mode is AdversaryMode.TAIL_PLUS_INTERCEPTED_HEAD:
-            h = h_mid_hat + config.omega * up.payload_matrix()
-        else:
-            h = h_mid_hat
-        lg = tail_forward(public, h)[:, -1]
+            h = h + config.omega * up.hidden()
+        lg = tail_forward(public, h)[-1]
         tok = sample_next(lg, params, rng)
         trace.steps.append(
             StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
@@ -131,11 +120,11 @@ def remnant_generate(
     for step, (up, _) in enumerate(paired_packets(capture)):
         context = prompt_ids + chosen[:step]
         h_head = head_forward(sharded, context)
-        residual = h_head - up.payload_matrix()
+        residual = h_head - up.hidden()
         if np.any(residual):
             all_zero = False
         h_mid = middle_forward(sharded, residual)
-        lg = tail_forward(sharded, h_mid)[:, -1]
+        lg = tail_forward(sharded, h_mid)[-1]
         tok = int(np.argmax(lg))
         trace.steps.append(
             StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),

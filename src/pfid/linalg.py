@@ -1,9 +1,10 @@
 """Dense matrix kernels and randomized truncated SVD.
 
-Matrices are 2-D float64 numpy arrays throughout. The convention for hidden
-states is features x positions (d x n): one column per sequence position.
-Public entry points validate shape and finiteness; everything downstream
-assumes clean inputs.
+Matrices are 2-D float64 numpy arrays throughout. Hidden states are n x d
+(positions x features) everywhere in the process; the SVD here works on the
+d x n transpose the packet codec ships, so in `TruncatedFactors` u spans
+features and v positions. Public entry points validate shape and
+finiteness; everything downstream assumes clean inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "reconstruct",
     "ratio_to_rank",
     "add_noise",
-    "nuclear_norm",
 ]
 
 Matrix = np.ndarray
@@ -157,9 +157,3 @@ def add_noise(h: Matrix, sigma: float, seed: int) -> Matrix:
         return h.copy()
     rng = np.random.default_rng(seed)
     return h + sigma * rng.standard_normal(h.shape)
-
-
-def nuclear_norm(h: Matrix) -> float:
-    """Sum of singular values."""
-    h = check_matrix(h, "h")
-    return float(np.linalg.svd(h, compute_uv=False).sum())

@@ -4,9 +4,10 @@ Pre-norm residual blocks with RMS normalization, causal multi-head
 attention, GELU feed-forward, learned absolute positional embeddings, and a
 linear LM head. All weights and activations are float64.
 
-Hidden states cross public boundaries as d x n matrices (features x
-positions) to match the wire convention; internally the forward pass works
-on the transposed n x d layout and converts at the boundary.
+Hidden states are n x d matrices (positions x features), one row per
+sequence position, in and out of every function here; training runs the
+same layer on B x T x d. Only the packet codec in `protocol` uses the
+transposed d x n layout.
 """
 
 from __future__ import annotations
@@ -209,13 +210,15 @@ def layer_forward(
 
 def _check_hidden(model: TransformerModel, h: Matrix, name: str) -> Matrix:
     h = check_matrix(h, name)
-    if h.shape[0] != model.config.d_model:
-        raise ValueError(f"hidden state has {h.shape[0]} rows, expected {model.config.d_model}")
+    if h.shape[1] != model.config.d_model:
+        raise ValueError(
+            f"hidden state has {h.shape[1]} columns, expected {model.config.d_model}"
+        )
     return h
 
 
 def embed(model: TransformerModel, tokens: list[int]) -> Matrix:
-    """Token + positional embedding, as a d x n hidden state."""
+    """Token + positional embedding, as an n x d hidden state."""
     if len(tokens) == 0:
         raise ValueError("cannot embed an empty token sequence")
     if len(tokens) > model.pos.shape[0]:
@@ -223,29 +226,25 @@ def embed(model: TransformerModel, tokens: list[int]) -> Matrix:
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= model.config.vocab_size:
         raise ValueError(f"token id out of range 0..{model.config.vocab_size - 1}")
-    return (model.embedding[ids] + model.pos[: len(ids)]).T
+    return model.embedding[ids] + model.pos[: len(ids)]
 
 
 def forward_layers(model: TransformerModel, start: int, stop: int, h_in: Matrix) -> Matrix:
-    """Apply decoder layers [start, stop) with causal masking to a d x n state."""
+    """Apply decoder layers [start, stop) with causal masking to an n x d state."""
     if not (0 <= start <= stop <= model.config.n_layers):
         raise ValueError(
             f"bad layer range [{start}, {stop}) for {model.config.n_layers} layers"
         )
-    h_in = _check_hidden(model, h_in, "h_in")
-    # materialize the transpose so BLAS sees the same layout regardless of
-    # whether the state arrived from embed() or off the wire; keeps sharded
-    # and monolithic forwards bit-identical
-    x = np.ascontiguousarray(h_in.T)
+    x = _check_hidden(model, h_in, "h_in")
     for lw in model.layers[start:stop]:
         x = layer_forward(lw, x, model.config.n_heads)
-    return x.T
+    return x
 
 
 def logits(model: TransformerModel, h: Matrix) -> Matrix:
-    """Final norm + LM head: d x n hidden state to vocab x n logits."""
-    x = np.ascontiguousarray(_check_hidden(model, h, "h").T)
-    return (x * _rms_scale(x) * model.g_final @ model.lm_head).T
+    """Final norm + LM head: n x d hidden state to n x vocab logits."""
+    x = _check_hidden(model, h, "h")
+    return x * _rms_scale(x) * model.g_final @ model.lm_head
 
 
 def filtered_distribution(
@@ -298,7 +297,7 @@ def pipeline_generate(
             stop_reason = "max_seq"
             break
         h = forward_layers(model, 0, n_layers, embed(model, tokens))
-        lg = logits(model, h)[:, -1]
+        lg = logits(model, h)[-1]
         tok = sample_next(lg, params, rng)
         trace.steps.append(StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg)))
         tokens.append(tok)

@@ -9,11 +9,14 @@ re-truncated every step.
 
 Wire format: 32-byte header (magic "PFIDPKT1", version, role, d, n, k,
 step) + binary32 factor payload U | s | V of exactly 4*k*(d+n+1) bytes.
-When a truncation ratio is zero and bypass_svd_at_zero is set, the SVD and
-its binary32 quantization are skipped entirely and the raw float64 matrix
-crosses the wire instead (role RAW, k=0, payload 8*d*n bytes); this is what
-makes the degenerate configuration bit-exactly equal to the unsplit
-pipeline.
+When a truncation ratio is zero, the SVD and its binary32 quantization are
+skipped and the raw float64 matrix crosses the wire instead (role RAW, k=0,
+payload 8*d*n bytes); this is what makes the degenerate configuration
+bit-exactly equal to the unsplit pipeline.
+
+The wire carries hidden states as d x n (features x positions) matrices.
+That layout exists only in the packet codec here: `_encode_hidden` encodes
+the transpose of an n x d state, and `Packet.hidden` returns one.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ __all__ = [
     "ROLE_HEAD_RAW",
     "ROLE_MID_RAW",
     "ROLE_ERROR",
+    "HEAD_ROLES",
+    "MID_ROLES",
     "encode_packet",
     "encode_raw_packet",
     "encode_error_packet",
@@ -84,8 +89,8 @@ ROLE_MID_RAW = 4
 ROLE_ERROR = 5
 _ROLES = {ROLE_HEAD_FACTORS, ROLE_MID_FACTORS, ROLE_HEAD_RAW, ROLE_MID_RAW, ROLE_ERROR}
 
-# the server refuses hidden states beyond this many positions/features
-MAX_WIRE_DIM = 4096
+HEAD_ROLES = (ROLE_HEAD_FACTORS, ROLE_HEAD_RAW)
+MID_ROLES = (ROLE_MID_FACTORS, ROLE_MID_RAW)
 
 ERR_BAD_MAGIC = 1
 ERR_BAD_VERSION = 2
@@ -137,7 +142,6 @@ class PfidConfig:
     phead: float = 0.65
     ptail: float = 0.75
     sampling: SamplingParams = SamplingParams()
-    bypass_svd_at_zero: bool = True
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
@@ -161,7 +165,6 @@ class PfidConfig:
             "max_new_tokens": self.sampling.max_new_tokens,
             "greedy": self.sampling.greedy,
             "seed": self.sampling.seed,
-            "bypass_svd_at_zero": self.bypass_svd_at_zero,
             "noise_sigma": self.noise_sigma,
         }
 
@@ -188,7 +191,6 @@ class PfidConfig:
             phead=float(doc.get("phead", base.phead)),
             ptail=float(doc.get("ptail", base.ptail)),
             sampling=sampling,
-            bypass_svd_at_zero=bool(doc.get("bypass_svd_at_zero", base.bypass_svd_at_zero)),
             noise_sigma=float(doc.get("noise_sigma", base.noise_sigma)),
         )
 
@@ -218,12 +220,12 @@ class Packet:
     error_code: int = 0
     error_message: str = ""
 
-    def payload_matrix(self) -> Matrix:
-        """The hidden state this packet carries (reconstructing factors)."""
+    def hidden(self) -> Matrix:
+        """The n x d hidden state this packet carries (reconstructing factors)."""
         if self.matrix is not None:
-            return self.matrix
+            return np.ascontiguousarray(self.matrix.T)
         if self.factors is not None:
-            return reconstruct(self.factors)
+            return np.ascontiguousarray(reconstruct(self.factors).T)
         raise FieldError(f"packet role {self.role} carries no hidden state")
 
 
@@ -340,13 +342,18 @@ def _noise_seed(step: int) -> int:
     return 1_000_003 + step
 
 
-def _encode_upstream(h_head: Matrix, config: PfidConfig, step: int) -> tuple[bytes, int]:
-    d, n = h_head.shape
-    if config.phead == 0.0 and config.bypass_svd_at_zero:
-        return encode_raw_packet(h_head, ROLE_HEAD_RAW, step), 0
-    k_h = ratio_to_rank(config.phead, d, n)
-    factors = truncated_svd(h_head, k_h, seed=_client_svd_seed(step))
-    return encode_packet(factors, ROLE_HEAD_FACTORS, step), k_h
+def _encode_hidden(
+    h: Matrix, ratio: float, roles: tuple[int, int], step: int, seed: int
+) -> tuple[bytes, int]:
+    """Packet of an n x d hidden state and its kept rank: the d x n
+    transpose as rank-k factors with roles[0], or raw with roles[1] (k = 0)
+    when the truncation ratio is zero."""
+    factor_role, raw_role = roles
+    wire = h.T
+    if ratio == 0.0:
+        return encode_raw_packet(wire, raw_role, step), 0
+    k = ratio_to_rank(ratio, *wire.shape)
+    return encode_packet(truncated_svd(wire, k, seed=seed), factor_role, step), k
 
 
 def client_generate(
@@ -367,15 +374,16 @@ def client_generate(
         mode="local", prompt=prompt, seed=params.seed, config=config.to_dict()
     )
     stop_reason = "max_new_tokens"
-    generated: list[int] = []
     for step in range(params.max_new_tokens):
         if len(tokens) >= cfg.max_seq:
             stop_reason = "max_seq"
             break
         h_head = head_forward(client, tokens)
-        d, n = h_head.shape
+        n, d = h_head.shape
 
-        request, k_h = _encode_upstream(h_head, config, step)
+        request, k_h = _encode_hidden(
+            h_head, config.phead, HEAD_ROLES, step, _client_svd_seed(step)
+        )
         try:
             transport.send_bytes(request)
             reply_bytes = transport.recv_bytes()
@@ -388,16 +396,15 @@ def client_generate(
             raise type(e)(f"malformed reply at step {step}: {e}") from e
         if reply.role == ROLE_ERROR:
             raise RemoteProtocolError(reply.error_code, reply.step, reply.error_message)
-        if reply.role not in (ROLE_MID_FACTORS, ROLE_MID_RAW):
+        if reply.role not in MID_ROLES:
             raise FieldError(f"unexpected reply role {reply.role} at step {step}")
         if reply.step != step or (reply.d, reply.n) != (d, n):
             raise FieldError(
                 f"reply desync at step {step}: got step={reply.step}, {reply.d}x{reply.n}"
             )
 
-        h_mid_hat = reply.payload_matrix()
-        h_prime = reprivatize(h_mid_hat, h_head, config.omega)
-        lg = tail_forward(client, h_prime)[:, -1]
+        h_prime = reprivatize(reply.hidden(), h_head, config.omega)
+        lg = tail_forward(client, h_prime)[-1]
         tok = sample_next(lg, params, rng)
         trace.steps.append(
             StepRecord(
@@ -408,15 +415,11 @@ def client_generate(
             )
         )
         tokens.append(tok)
-        generated.append(tok)
         if tok == tokenizer.eos_id:
             stop_reason = "eos"
             break
     trace.stop_reason = stop_reason
-    if stop_reason == "eos":
-        trace.text = tokenizer.decode(generated[:-1])
-    else:
-        trace.text = tokenizer.decode(generated)
+    trace.set_text(tokenizer)
     return trace
 
 
@@ -430,13 +433,14 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
         return encode_error_packet(getattr(e, "code", ERR_FIELDS), step, str(e))
     step = pkt.step
 
-    if pkt.role not in (ROLE_HEAD_FACTORS, ROLE_HEAD_RAW):
+    if pkt.role not in HEAD_ROLES:
         return encode_error_packet(
             ERR_FIELDS, step, f"server expects head packets, got role {pkt.role}"
         )
-    if pkt.d > MAX_WIRE_DIM or pkt.n > MAX_WIRE_DIM:
+    if pkt.n > middle.config.max_seq:
         return encode_error_packet(
-            ERR_OVERSIZE, step, f"dimensions {pkt.d}x{pkt.n} exceed limit {MAX_WIRE_DIM}"
+            ERR_OVERSIZE, step,
+            f"{pkt.n} positions exceed the served model's max_seq ({middle.config.max_seq})",
         )
     if pkt.d != middle.config.d_model:
         return encode_error_packet(
@@ -445,15 +449,11 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
         )
 
     try:
-        h = pkt.payload_matrix()
+        h = pkt.hidden()
         if config.noise_sigma > 0:
             h = add_noise(h, config.noise_sigma, seed=_noise_seed(step))
         h_mid = middle_forward(middle, h)
-        if config.ptail == 0.0 and config.bypass_svd_at_zero:
-            return encode_raw_packet(h_mid, ROLE_MID_RAW, step)
-        k_t = ratio_to_rank(config.ptail, pkt.d, pkt.n)
-        factors = truncated_svd(h_mid, k_t, seed=_server_svd_seed(step))
-        return encode_packet(factors, ROLE_MID_FACTORS, step)
+        return _encode_hidden(h_mid, config.ptail, MID_ROLES, step, _server_svd_seed(step))[0]
     except Exception as e:  # never crash the serving loop on one request
         return encode_error_packet(ERR_INTERNAL, step, f"server failure: {e}")
 
@@ -508,9 +508,7 @@ def run_local_sim(
 
     pipeline = pipeline_generate(model, prompt_ids, config.sampling, eos_id=tokenizer.eos_id)
     pipeline.prompt = prompt
-    pipeline.text = tokenizer.decode(
-        pipeline.token_ids[:-1] if pipeline.stop_reason == "eos" else pipeline.token_ids
-    )
+    pipeline.set_text(tokenizer)
 
     client_end, server_end = InMemoryTransport.pair()
     server = threading.Thread(
@@ -528,7 +526,7 @@ def run_local_sim(
         server.join(timeout=10)
 
     eavesdroppers = {
-        mode.name.lower(): eavesdrop_generate(
+        mode.value: eavesdrop_generate(
             sharded.client(), capture, mode, config, tokenizer, prompt
         )
         for mode in AdversaryMode

@@ -4,6 +4,9 @@ The split is weight-preserving and copy-free: shards hold references into
 the original model's arrays. Embedding and positions live with the head;
 final norm and LM head live with the tail, so a client holding head + tail
 can both start and finish decoding locally.
+
+Every forward takes and returns n x d hidden states (positions x
+features), as `model` does; the tail returns n x vocab logits.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def split(model: TransformerModel, spec: ShardSpec) -> Shard:
 
 
 def head_forward(shard: Shard, tokens: list[int]) -> Matrix:
-    """Embedding plus the head layer range; d x n output."""
+    """Embedding plus the head layer range; n x d output."""
     return forward_layers(shard, 0, shard.spec.split_k, embed(shard, tokens))
 
 
@@ -79,5 +82,5 @@ def middle_forward(shard: Shard, h: Matrix) -> Matrix:
 
 
 def tail_forward(shard: Shard, h: Matrix) -> Matrix:
-    """Tail layer range plus final norm and LM head; vocab x n logits."""
+    """Tail layer range plus final norm and LM head; n x vocab logits."""
     return logits(shard, forward_layers(shard, shard.spec.split_n, shard.config.n_layers, h))

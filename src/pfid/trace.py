@@ -42,6 +42,12 @@ class GenerationTrace:
     def token_ids(self) -> list[int]:
         return [s.token_id for s in self.steps]
 
+    def set_text(self, tokenizer) -> None:
+        """Decode the generated ids into `text`, leaving out the
+        end-of-sequence token when it is what stopped the run."""
+        ids = self.token_ids
+        self.text = tokenizer.decode(ids[:-1] if self.stop_reason == "eos" else ids)
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly form; full logit vectors are dropped, top-5 kept."""
         return {

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pfid.linalg import (
     TruncatedFactors,
     add_noise,
-    nuclear_norm,
     ratio_to_rank,
     reconstruct,
     truncated_svd,
@@ -209,17 +208,3 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="sigma"):
             add_noise(np.ones((2, 2)), -0.1, seed=0)
 
-
-class TestNorms:
-    def test_diagonal_case(self):
-        h = np.diag([3.0, 1.0])
-        assert nuclear_norm(h) == pytest.approx(4.0)
-
-    def test_zero_matrix(self):
-        z = np.zeros((3, 5))
-        assert nuclear_norm(z) == 0.0
-
-    def test_nuclear_matches_eigendecomposition_oracle(self):
-        h = np.random.default_rng(10).standard_normal((8, 8))
-        oracle = float(singular_values_by_eigh(h).sum())
-        assert abs(nuclear_norm(h) - oracle) / oracle <= 1e-4

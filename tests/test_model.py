@@ -65,8 +65,8 @@ class TestForward:
     def test_shapes(self):
         m = init_model(small_config())
         h = embed(m, [0, 1])
-        assert h.shape == (16, 2)
-        assert logits(m, h).shape == (20, 2)
+        assert h.shape == (2, 16)
+        assert logits(m, h).shape == (2, 20)
 
     def test_causality(self):
         m = init_model(small_config())
@@ -74,19 +74,19 @@ class TestForward:
         b = [1, 2, 3, 9, 9]
         la = logits(m, forward_layers(m, 0, 3, embed(m, a)))
         lb = logits(m, forward_layers(m, 0, 3, embed(m, b)))
-        assert np.array_equal(la[:, :3], lb[:, :3])
-        assert not np.array_equal(la[:, 3], lb[:, 3])
+        assert np.array_equal(la[:3], lb[:3])
+        assert not np.array_equal(la[3], lb[3])
 
     def test_single_position_matches_hand_rolled_oracle(self):
         """For one position, softmax over a single score is 1, so attention
         passes the value straight through; the oracle rebuilds the whole
         layer from raw formulas."""
         m = init_model(small_config())
-        h = embed(m, [3])  # d x 1
+        h = embed(m, [3])  # 1 x d
         got = forward_layers(m, 0, 1, h)
 
         lw = m.layers[0]
-        x = h[:, 0]
+        x = h[0]
         d, heads = 16, 2
         a = x / np.sqrt(np.mean(x * x) + RMS_EPS) * lw.g_attn
         v = a @ lw.wv  # per-head softmax(q k^T / sqrt()) v == v for n = 1
@@ -95,7 +95,7 @@ class TestForward:
         u = b @ lw.w1
         gelu = 0.5 * u * (1 + np.tanh(0.7978845608028654 * (u + 0.044715 * u**3)))
         expected = x1 + gelu @ lw.w2
-        assert np.allclose(got[:, 0], expected, atol=1e-6)
+        assert np.allclose(got[0], expected, atol=1e-6)
 
     def test_bad_range_rejected(self):
         m = init_model(small_config())
@@ -107,8 +107,8 @@ class TestForward:
 
     def test_wrong_width_rejected(self):
         m = init_model(small_config())
-        with pytest.raises(ValueError, match="rows"):
-            forward_layers(m, 0, 1, np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="columns"):
+            forward_layers(m, 0, 1, np.zeros((3, 8)))
 
 
 class TestEmbed:
@@ -130,7 +130,7 @@ class TestEmbed:
     def test_positional_signal(self):
         m = init_model(small_config())
         h = embed(m, [5, 5])
-        assert not np.array_equal(h[:, 0], h[:, 1])
+        assert not np.array_equal(h[0], h[1])
 
 
 class TestSampling:

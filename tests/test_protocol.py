@@ -1,16 +1,24 @@
+import threading
+
 import numpy as np
 import pytest
 
+from pfid.linalg import truncated_svd
 from pfid.model import SamplingParams
 from pfid.protocol import (
     PKT_HEADER_BYTES,
+    ROLE_ERROR,
+    ROLE_HEAD_FACTORS,
+    ROLE_MID_FACTORS,
     PfidConfig,
     client_generate,
+    decode_packet,
+    encode_packet,
     run_local_sim,
     serve_middle,
 )
 from pfid.shard import split
-from pfid.transport import CapturingTransport, TcpServer, connect_tcp
+from pfid.transport import CapturingTransport, InMemoryTransport, TcpServer, connect_tcp
 
 PROMPT = "alice called bo"
 
@@ -82,3 +90,50 @@ def test_comm_totals_match_the_trace(tiny_model, tokenizer, phead, ptail):
     assert sent == sum(len(p) for p in sim.capture)
     assert sim.wire_bytes == sent
     assert sim.comm_ratio == sent / baseline
+
+
+def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
+    """The served model bounds n; the connection keeps serving after the
+    refusal."""
+    config = PfidConfig()
+    d, max_seq = tiny_model.config.d_model, tiny_model.config.max_seq
+    rng = np.random.default_rng(0)
+
+    def head_packet(n, step):
+        factors = truncated_svd(rng.standard_normal((d, n)), 1, seed=0)
+        return encode_packet(factors, ROLE_HEAD_FACTORS, step)
+
+    client_end, server_end = InMemoryTransport.pair()
+    server = threading.Thread(
+        target=serve_middle, args=(split(tiny_model, config.spec).middle(), server_end, config)
+    )
+    server.start()
+    try:
+        client_end.send_bytes(head_packet(max_seq + 1, 0))
+        refused = decode_packet(client_end.recv_bytes())
+        client_end.send_bytes(head_packet(5, 1))
+        served = decode_packet(client_end.recv_bytes())
+    finally:
+        client_end.close()
+        server.join(timeout=10)
+    assert (refused.role, refused.error_code, refused.step) == (ROLE_ERROR, 5, 0)
+    assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 1, d, 5)
+
+
+def test_noise_is_seeded_and_changes_the_server_replies(tiny_model, tokenizer):
+    sampling = SamplingParams(greedy=True, max_new_tokens=8)
+    noisy = PfidConfig(noise_sigma=0.05, sampling=sampling)
+    a = run_local_sim(tiny_model, tokenizer, noisy, PROMPT)
+    b = run_local_sim(tiny_model, tokenizer, noisy, PROMPT)
+    assert a.capture == b.capture
+    for name in ("pipeline", "local"):
+        assert_traces_equal(getattr(a, name), getattr(b, name))
+    for name in a.eavesdroppers:
+        assert_traces_equal(a.eavesdroppers[name], b.eavesdroppers[name])
+
+    clean = run_local_sim(tiny_model, tokenizer, PfidConfig(sampling=sampling), PROMPT)
+    assert a.capture[0] == clean.capture[0]
+    assert all(x != y for x, y in zip(a.capture[1::2], clean.capture[1::2]))
+
+    with pytest.raises(ValueError, match="noise_sigma"):
+        PfidConfig(noise_sigma=-0.05)

@@ -96,7 +96,7 @@ class TestShardForwards:
     def test_head_output_shape(self):
         m = init_model(small_config())
         s = split(m, ShardSpec(3, 5))
-        assert head_forward(s, [1, 2, 3, 4]).shape == (16, 4)
+        assert head_forward(s, [1, 2, 3, 4]).shape == (4, 16)
 
     def test_narrowed_views_match_full_sharded(self):
         m = init_model(small_config())
@@ -124,5 +124,5 @@ class TestShardForwards:
     def test_shape_mismatch_rejected(self):
         m = init_model(small_config())
         s = split(m, ShardSpec(3, 5))
-        with pytest.raises(ValueError, match="rows"):
-            middle_forward(s, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="columns"):
+            middle_forward(s, np.zeros((2, 4)))
