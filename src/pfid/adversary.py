@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import sample_next
 from .protocol import HEAD_ROLES, MID_ROLES, FieldError, Packet, PfidConfig, decode_packet
-from .shard import Shard, head_forward, middle_forward, tail_forward
+from .shard import Shard, head_cache, head_forward, middle_forward, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord, top5_fingerprint
 
@@ -86,7 +86,7 @@ def eavesdrop_generate(
         h = down.hidden()
         if mode is AdversaryMode.TAIL_PLUS_INTERCEPTED_HEAD:
             h = h + config.omega * up.hidden()
-        lg = tail_forward(public, h)[-1]
+        lg = tail_forward(public, h)[-1].copy()  # the row alone, not a view of all n
         tok = sample_next(lg, params, rng)
         trace.steps.append(
             StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
@@ -106,9 +106,10 @@ def remnant_generate(
     """Greedily decode the truncation residual through middle + tail.
 
     Requires full local access: the client recomputes its own head outputs
-    for the token prefixes it actually generated and subtracts what the
-    wire carried. With no truncation the residual is exactly zero and the
-    run is flagged as an empty remnant.
+    for the token prefixes it actually generated, through a head cache as
+    `client_generate` does so that they equal what it sent, and subtracts
+    what the wire carried. With no truncation the residual is exactly zero
+    and the run is flagged as an empty remnant.
     """
     prompt_ids = tokenizer.encode(local_trace.prompt)
     chosen = local_trace.token_ids
@@ -117,14 +118,15 @@ def remnant_generate(
         config=dict(local_trace.config),
     )
     all_zero = True
+    cache = head_cache(sharded)
     for step, (up, _) in enumerate(paired_packets(capture)):
         context = prompt_ids + chosen[:step]
-        h_head = head_forward(sharded, context)
+        h_head = head_forward(sharded, context, cache)
         residual = h_head - up.hidden()
         if np.any(residual):
             all_zero = False
         h_mid = middle_forward(sharded, residual)
-        lg = tail_forward(sharded, h_mid)[-1]
+        lg = tail_forward(sharded, h_mid)[-1].copy()
         tok = int(np.argmax(lg))
         trace.steps.append(
             StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),

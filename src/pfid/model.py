@@ -163,7 +163,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _attention_block(
-    lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None
+    lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None, past: tuple | None
 ) -> np.ndarray:
     *lead, t_len, d = x.shape
     dh = d // n_heads
@@ -173,7 +173,14 @@ def _attention_block(
         (a @ w).reshape(*lead, t_len, n_heads, dh).swapaxes(-3, -2)
         for w in (lw.wq, lw.wk, lw.wv)
     )
-    mask = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)
+    start = 0
+    if past is not None:
+        keys, values, start = past
+        keys[:, start:start + t_len] = k
+        values[:, start:start + t_len] = v
+        k, v = keys[:, :start + t_len], values[:, :start + t_len]
+    # Row i is position start + i and sees the positions up to its own.
+    mask = np.triu(np.ones((t_len, start + t_len), dtype=bool), k=start + 1)
     p = _softmax_rows(np.where(mask, -np.inf, q @ k.swapaxes(-1, -2) / np.sqrt(dh)))
     attn = (p @ v).swapaxes(-3, -2).reshape(*lead, t_len, d)
     if cache is not None:
@@ -196,15 +203,25 @@ def _feed_forward_block(lw: LayerWeights, x: np.ndarray, cache: list | None) -> 
 
 
 def layer_forward(
-    lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None = None
+    lw: LayerWeights,
+    x: np.ndarray,
+    n_heads: int,
+    cache: list | None = None,
+    past: tuple[np.ndarray, np.ndarray, int] | None = None,
 ) -> np.ndarray:
     """One pre-norm decoder block on a (..., T, d) state with causal masking.
 
     Inference runs it on n x d, training on B x T x d. When a cache list is
     given, the 14 intermediates the analytic backward pass needs are
     appended to it.
+
+    `past` = (keys, values, start) makes x the rows of positions start,
+    start + 1, ... of an n x d state whose earlier positions this layer has
+    already seen: their keys and values are in rows [0, start) of the
+    n_heads x max_seq x d_head buffers, the new rows' are written after
+    them, and the new rows attend to all of them.
     """
-    x = x + _attention_block(lw, x, n_heads, cache)
+    x = x + _attention_block(lw, x, n_heads, cache, past)
     return x + _feed_forward_block(lw, x, cache)
 
 
@@ -217,27 +234,42 @@ def _check_hidden(model: TransformerModel, h: Matrix, name: str) -> Matrix:
     return h
 
 
-def embed(model: TransformerModel, tokens: list[int]) -> Matrix:
-    """Token + positional embedding, as an n x d hidden state."""
+def embed(model: TransformerModel, tokens: list[int], offset: int = 0) -> Matrix:
+    """Token + positional embedding, as an n x d hidden state; the tokens
+    sit at positions offset, offset + 1, ..."""
     if len(tokens) == 0:
         raise ValueError("cannot embed an empty token sequence")
-    if len(tokens) > model.pos.shape[0]:
-        raise ValueError(f"sequence length {len(tokens)} exceeds max_seq {model.pos.shape[0]}")
+    if offset + len(tokens) > model.pos.shape[0]:
+        raise ValueError(
+            f"sequence length {offset + len(tokens)} exceeds max_seq {model.pos.shape[0]}"
+        )
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= model.config.vocab_size:
         raise ValueError(f"token id out of range 0..{model.config.vocab_size - 1}")
-    return model.embedding[ids] + model.pos[: len(ids)]
+    return model.embedding[ids] + model.pos[offset:offset + len(ids)]
 
 
-def forward_layers(model: TransformerModel, start: int, stop: int, h_in: Matrix) -> Matrix:
-    """Apply decoder layers [start, stop) with causal masking to an n x d state."""
+def forward_layers(
+    model: TransformerModel,
+    start: int,
+    stop: int,
+    h_in: Matrix,
+    past: tuple[np.ndarray, np.ndarray, int] | None = None,
+) -> Matrix:
+    """Apply decoder layers [start, stop) with causal masking to an n x d state.
+
+    `past` = (keys, values, n_past) makes h_in the positions after n_past
+    ones these layers have already seen; keys[i] and values[i] are the
+    buffers `layer_forward` takes for the i-th layer of the range.
+    """
     if not (0 <= start <= stop <= model.config.n_layers):
         raise ValueError(
             f"bad layer range [{start}, {stop}) for {model.config.n_layers} layers"
         )
     x = _check_hidden(model, h_in, "h_in")
-    for lw in model.layers[start:stop]:
-        x = layer_forward(lw, x, model.config.n_heads)
+    for i, lw in enumerate(model.layers[start:stop]):
+        layer_past = None if past is None else (past[0][i], past[1][i], past[2])
+        x = layer_forward(lw, x, model.config.n_heads, past=layer_past)
     return x
 
 
@@ -297,7 +329,7 @@ def pipeline_generate(
             stop_reason = "max_seq"
             break
         h = forward_layers(model, 0, n_layers, embed(model, tokens))
-        lg = logits(model, h)[-1]
+        lg = logits(model, h)[-1].copy()  # the row alone, not a view of all n
         tok = sample_next(lg, params, rng)
         trace.steps.append(StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg)))
         tokens.append(tok)

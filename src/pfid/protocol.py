@@ -7,6 +7,14 @@ re-privatizes with its retained full head output (H' = H_mid_hat +
 omega * H_head), runs the tail and samples. The full prefix matrix is
 re-truncated every step.
 
+The head sees exact tokens, so its output rows for a prefix never change:
+the client keeps a per-session head cache and computes only the new
+token's row each step, while still shipping and re-privatizing the whole
+n x d H_head. The middle and the tail cannot be cached. Their inputs are
+reconstructions of a fresh rank-k truncation of the whole prefix, so every
+row of them changes every step. They run in full on every request, and the
+server keeps no state between requests.
+
 Wire format: 32-byte header (magic "PFIDPKT1", version, role, d, n, k,
 step) + binary32 factor payload U | s | V of exactly 4*k*(d+n+1) bytes.
 When a truncation ratio is zero, the SVD and its binary32 quantization are
@@ -40,7 +48,7 @@ from .linalg import (
     truncated_svd,
 )
 from .model import SamplingParams, TransformerModel, pipeline_generate, sample_next
-from .shard import Shard, ShardSpec, head_forward, middle_forward, split, tail_forward
+from .shard import Shard, ShardSpec, head_cache, head_forward, middle_forward, split, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord, top5_fingerprint
 from .transport import CapturingTransport, InMemoryTransport, TransportClosed, TransportError
@@ -257,8 +265,12 @@ def encode_error_packet(code: int, step: int, message: str) -> bytes:
     return header + body
 
 
-def decode_packet(data: bytes) -> Packet:
-    """Parse and validate one packet; raises a distinct error per defect."""
+def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
+    """Parse and validate one packet; raises a distinct error per defect.
+
+    A header with more than max_n positions is refused (OversizeError)
+    before the payload is looked at.
+    """
     if len(data) < PKT_HEADER_BYTES:
         raise LengthMismatchError(
             f"packet is {len(data)} bytes, shorter than the {PKT_HEADER_BYTES}-byte header"
@@ -270,6 +282,8 @@ def decode_packet(data: bytes) -> Packet:
         raise BadVersionError(f"unsupported packet version {version}")
     if role not in _ROLES:
         raise FieldError(f"unknown packet role {role}")
+    if max_n is not None and n > max_n:
+        raise OversizeError(f"{n} positions exceed the limit of {max_n}")
     payload = data[PKT_HEADER_BYTES:]
 
     if role == ROLE_ERROR:
@@ -374,11 +388,12 @@ def client_generate(
         mode="local", prompt=prompt, seed=params.seed, config=config.to_dict()
     )
     stop_reason = "max_new_tokens"
+    cache = head_cache(client)
     for step in range(params.max_new_tokens):
         if len(tokens) >= cfg.max_seq:
             stop_reason = "max_seq"
             break
-        h_head = head_forward(client, tokens)
+        h_head = head_forward(client, tokens, cache)
         n, d = h_head.shape
 
         request, k_h = _encode_hidden(
@@ -404,7 +419,7 @@ def client_generate(
             )
 
         h_prime = reprivatize(reply.hidden(), h_head, config.omega)
-        lg = tail_forward(client, h_prime)[-1]
+        lg = tail_forward(client, h_prime)[-1].copy()  # the row alone, not a view of all n
         tok = sample_next(lg, params, rng)
         trace.steps.append(
             StepRecord(
@@ -428,7 +443,8 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
     if len(data) >= PKT_HEADER_BYTES:
         step = _HDR.unpack_from(data)[6]
     try:
-        pkt = decode_packet(data)
+        # The served model bounds n: refuse oversize requests from the header.
+        pkt = decode_packet(data, max_n=middle.config.max_seq)
     except ProtocolError as e:
         return encode_error_packet(getattr(e, "code", ERR_FIELDS), step, str(e))
     step = pkt.step
@@ -436,11 +452,6 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
     if pkt.role not in HEAD_ROLES:
         return encode_error_packet(
             ERR_FIELDS, step, f"server expects head packets, got role {pkt.role}"
-        )
-    if pkt.n > middle.config.max_seq:
-        return encode_error_packet(
-            ERR_OVERSIZE, step,
-            f"{pkt.n} positions exceed the served model's max_seq ({middle.config.max_seq})",
         )
     if pkt.d != middle.config.d_model:
         return encode_error_packet(

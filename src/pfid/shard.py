@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .linalg import Matrix
 from .model import TransformerModel, embed, forward_layers, logits
 
@@ -20,6 +22,8 @@ __all__ = [
     "ShardSpec",
     "Shard",
     "split",
+    "HeadCache",
+    "head_cache",
     "head_forward",
     "middle_forward",
     "tail_forward",
@@ -72,9 +76,51 @@ def split(model: TransformerModel, spec: ShardSpec) -> Shard:
     return Shard(**weights, spec=spec)
 
 
-def head_forward(shard: Shard, tokens: list[int]) -> Matrix:
-    """Embedding plus the head layer range; n x d output."""
-    return forward_layers(shard, 0, shard.spec.split_k, embed(shard, tokens))
+@dataclass
+class HeadCache:
+    """One token sequence's head state: the tokens run so far, the head's
+    output rows for them in a max_seq x d buffer, and the head layers' keys
+    and values in split_k x n_heads x max_seq x d_head buffers."""
+
+    tokens: list[int]
+    rows: Matrix
+    keys: np.ndarray
+    values: np.ndarray
+
+
+def head_cache(shard: Shard) -> HeadCache:
+    """An empty head cache for one session of `shard`."""
+    cfg = shard.config
+    kv_shape = (shard.spec.split_k, cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads)
+    return HeadCache(tokens=[], rows=np.empty((cfg.max_seq, cfg.d_model)),
+                     keys=np.empty(kv_shape), values=np.empty(kv_shape))
+
+
+def head_forward(shard: Shard, tokens: list[int], cache: HeadCache | None = None) -> Matrix:
+    """Embedding plus the head layer range; n x d output.
+
+    Without a cache every row is computed from scratch; this is the
+    reference. With one, `tokens` must be the cached tokens followed by at
+    least one more (ValueError otherwise), and only the new rows are
+    computed, against the cached keys and values. They agree with the
+    reference to rounding (about 1e-16), not bit for bit: products over
+    fewer rows take other BLAS kernels and summation orders. The result is
+    a read-only view of the cache's rows [0, n), which later calls leave
+    unchanged.
+    """
+    if cache is None:
+        return forward_layers(shard, 0, shard.spec.split_k, embed(shard, tokens))
+    past = len(cache.tokens)
+    if len(tokens) <= past or list(tokens[:past]) != cache.tokens:
+        raise ValueError(f"{len(tokens)} tokens do not extend the {past} cached ones")
+    new = list(tokens[past:])
+    h = forward_layers(shard, 0, shard.spec.split_k, embed(shard, new, past),
+                       (cache.keys, cache.values, past))
+    cache.rows[past:len(tokens)] = h
+    cache.tokens += new
+    out = cache.rows[:len(tokens)]
+    out.flags.writeable = False
+    return out
 
 
 def middle_forward(shard: Shard, h: Matrix) -> Matrix:

@@ -126,6 +126,8 @@ class TestEmbed:
         m = init_model(small_config())
         with pytest.raises(ValueError, match="max_seq"):
             embed(m, [0] * 25)
+        with pytest.raises(ValueError, match="max_seq"):
+            embed(m, [0] * 5, offset=20)
 
     def test_positional_signal(self):
         m = init_model(small_config())

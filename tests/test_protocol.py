@@ -3,6 +3,8 @@ import threading
 import numpy as np
 import pytest
 
+import pfid.protocol
+from pfid.adversary import remnant_generate
 from pfid.linalg import truncated_svd
 from pfid.model import SamplingParams
 from pfid.protocol import (
@@ -17,7 +19,7 @@ from pfid.protocol import (
     run_local_sim,
     serve_middle,
 )
-from pfid.shard import split
+from pfid.shard import head_forward, split
 from pfid.transport import CapturingTransport, InMemoryTransport, TcpServer, connect_tcp
 
 PROMPT = "alice called bo"
@@ -32,16 +34,70 @@ def assert_traces_equal(a, b):
     assert (a.text, a.stop_reason) == (b.text, b.stop_reason)
 
 
-def test_bypass_configuration_equals_pipeline_bitwise(tiny_model, tokenizer):
+BYPASS = PfidConfig(omega=0.0, phead=0.0, ptail=0.0,
+                    sampling=SamplingParams(greedy=True, max_new_tokens=24))
+
+
+def reference_head(monkeypatch):
+    """Make the client recompute its head in full every token, as the
+    unsplit pipeline does, instead of extending its head cache."""
+    monkeypatch.setattr(pfid.protocol, "head_forward",
+                        lambda shard, tokens, cache=None: head_forward(shard, tokens))
+
+
+def test_bypass_configuration_equals_pipeline_bitwise(tiny_model, tokenizer, monkeypatch):
     """omega = 0 and p = 0 with bypass: raw float64 packets, no SVD, so the
-    split run is the unsplit pipeline bit for bit."""
-    config = PfidConfig(omega=0.0, phead=0.0, ptail=0.0,
-                        sampling=SamplingParams(greedy=True, max_new_tokens=24))
-    sim = run_local_sim(tiny_model, tokenizer, config, PROMPT)
+    split run with the reference head is the unsplit pipeline bit for bit."""
+    reference_head(monkeypatch)
+    sim = run_local_sim(tiny_model, tokenizer, BYPASS, PROMPT)
     assert len(sim.local.steps) == 24
     assert sim.local.token_ids == sim.pipeline.token_ids
     for local, pipe in zip(sim.local.steps, sim.pipeline.steps):
         assert np.array_equal(local.logits, pipe.logits)
+
+
+def test_bypass_configuration_with_the_head_cache_matches_the_pipeline(tiny_model, tokenizer):
+    """The cached head rows differ from the full recompute by rounding only,
+    which moves no token and no logit by more than 1e-12."""
+    sim = run_local_sim(tiny_model, tokenizer, BYPASS, PROMPT)
+    assert len(sim.local.steps) == 24
+    assert sim.local.token_ids == sim.pipeline.token_ids
+    for local, pipe in zip(sim.local.steps, sim.pipeline.steps):
+        assert np.abs(local.logits - pipe.logits).max() <= 1e-12
+
+
+def test_default_run_with_the_head_cache_gives_the_reference_tokens(
+        tiny_model, tokenizer, monkeypatch):
+    config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=24))
+    cached = run_local_sim(tiny_model, tokenizer, config, PROMPT).local
+    reference_head(monkeypatch)
+    reference = run_local_sim(tiny_model, tokenizer, config, PROMPT).local
+    assert len(cached.steps) == 24
+    assert cached.token_ids == reference.token_ids
+
+
+def test_bypass_remnant_is_empty(tiny_model, tokenizer):
+    """The remnant decoder recomputes the head rows the client sent, so with
+    raw packets the truncation residual is exactly zero."""
+    sim = run_local_sim(tiny_model, tokenizer, BYPASS, PROMPT)
+    sharded = split(tiny_model, BYPASS.spec)
+    remnant = remnant_generate(sharded, sim.local, sim.capture, tokenizer)
+    assert remnant.stop_reason == "empty_remnant"
+    assert len(remnant.steps) == 24
+
+
+def test_step_logits_own_their_row(tiny_model, tokenizer):
+    """A trace keeps each step's last logits row, not the n x vocab array it
+    was cut from."""
+    config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=8))
+    sim = run_local_sim(tiny_model, tokenizer, config, PROMPT)
+    remnant = remnant_generate(split(tiny_model, config.spec), sim.local, sim.capture, tokenizer)
+    vocab = tiny_model.config.vocab_size
+    for trace in (sim.pipeline, sim.local, *sim.eavesdroppers.values(), remnant):
+        assert len(trace.steps) == 8
+        for s in trace.steps:
+            assert s.logits.shape == (vocab,)
+            assert s.logits.base is None and s.logits.flags.owndata
 
 
 def test_tcp_trace_equals_in_memory_trace_bitwise(tiny_model, tokenizer):
@@ -93,8 +149,8 @@ def test_comm_totals_match_the_trace(tiny_model, tokenizer, phead, ptail):
 
 
 def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
-    """The served model bounds n; the connection keeps serving after the
-    refusal."""
+    """The served model bounds n, read from the header before the payload is
+    decoded; the connection keeps serving after each refusal."""
     config = PfidConfig()
     d, max_seq = tiny_model.config.d_model, tiny_model.config.max_seq
     rng = np.random.default_rng(0)
@@ -111,13 +167,17 @@ def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
     try:
         client_end.send_bytes(head_packet(max_seq + 1, 0))
         refused = decode_packet(client_end.recv_bytes())
-        client_end.send_bytes(head_packet(5, 1))
+        client_end.send_bytes(head_packet(max_seq + 1, 1)[:PKT_HEADER_BYTES + 16])
+        truncated = decode_packet(client_end.recv_bytes())
+        client_end.send_bytes(head_packet(5, 2))
         served = decode_packet(client_end.recv_bytes())
     finally:
         client_end.close()
         server.join(timeout=10)
+    assert not server.is_alive()
     assert (refused.role, refused.error_code, refused.step) == (ROLE_ERROR, 5, 0)
-    assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 1, d, 5)
+    assert (truncated.role, truncated.error_code, truncated.step) == (ROLE_ERROR, 5, 1)
+    assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 2, d, 5)
 
 
 def test_noise_is_seeded_and_changes_the_server_replies(tiny_model, tokenizer):
