@@ -86,7 +86,7 @@ def eavesdrop_generate(
         h = down.hidden()
         if mode is AdversaryMode.TAIL_PLUS_INTERCEPTED_HEAD:
             h = h + config.omega * up.hidden()
-        lg = tail_forward(public, h)[-1].copy()  # the row alone, not a view of all n
+        lg = tail_forward(public, h)
         tok = sample_next(lg, params, rng)
         trace.steps.append(
             StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
@@ -126,7 +126,7 @@ def remnant_generate(
         if np.any(residual):
             all_zero = False
         h_mid = middle_forward(sharded, residual)
-        lg = tail_forward(sharded, h_mid)[-1].copy()
+        lg = tail_forward(sharded, h_mid)
         tok = int(np.argmax(lg))
         trace.steps.append(
             StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),

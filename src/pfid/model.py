@@ -27,6 +27,7 @@ __all__ = [
     "init_model",
     "layer_forward",
     "embed",
+    "kv_buffers",
     "forward_layers",
     "logits",
     "filtered_distribution",
@@ -163,26 +164,27 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _attention_block(
-    lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None, past: tuple | None
+    lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None, past: tuple | None,
+    q_rows: int,
 ) -> np.ndarray:
     *lead, t_len, d = x.shape
     dh = d // n_heads
     inv = _rms_scale(x)
     a = x * inv * lw.g_attn
     q, k, v = (
-        (a @ w).reshape(*lead, t_len, n_heads, dh).swapaxes(-3, -2)
-        for w in (lw.wq, lw.wk, lw.wv)
+        (rows @ w).reshape(*lead, -1, n_heads, dh).swapaxes(-3, -2)
+        for rows, w in ((a[..., t_len - q_rows:, :], lw.wq), (a, lw.wk), (a, lw.wv))
     )
-    start = 0
     if past is not None:
         keys, values, start = past
         keys[:, start:start + t_len] = k
         values[:, start:start + t_len] = v
         k, v = keys[:, :start + t_len], values[:, :start + t_len]
-    # Row i is position start + i and sees the positions up to its own.
-    mask = np.triu(np.ones((t_len, start + t_len), dtype=bool), k=start + 1)
+    # Query row i is position kv_len - q_rows + i and sees the positions up to its own.
+    kv_len = k.shape[-2]
+    mask = np.triu(np.ones((q_rows, kv_len), dtype=bool), k=kv_len - q_rows + 1)
     p = _softmax_rows(np.where(mask, -np.inf, q @ k.swapaxes(-1, -2) / np.sqrt(dh)))
-    attn = (p @ v).swapaxes(-3, -2).reshape(*lead, t_len, d)
+    attn = (p @ v).swapaxes(-3, -2).reshape(*lead, q_rows, d)
     if cache is not None:
         cache += (x, inv, a, q, k, v, p, attn)
     return attn @ lw.wo
@@ -208,6 +210,7 @@ def layer_forward(
     n_heads: int,
     cache: list | None = None,
     past: tuple[np.ndarray, np.ndarray, int] | None = None,
+    q_rows: int | None = None,
 ) -> np.ndarray:
     """One pre-norm decoder block on a (..., T, d) state with causal masking.
 
@@ -220,8 +223,14 @@ def layer_forward(
     already seen: their keys and values are in rows [0, start) of the
     n_heads x max_seq x d_head buffers, the new rows' are written after
     them, and the new rows attend to all of them.
+
+    `q_rows` computes the queries, attention output and feed-forward for
+    the last q_rows rows of x only, and returns those rows; keys and values
+    still come from every row. Unset, every row is computed.
     """
-    x = x + _attention_block(lw, x, n_heads, cache, past)
+    t_len = x.shape[-2]
+    q_rows = t_len if q_rows is None else q_rows
+    x = x[..., t_len - q_rows:, :] + _attention_block(lw, x, n_heads, cache, past, q_rows)
     return x + _feed_forward_block(lw, x, cache)
 
 
@@ -249,27 +258,40 @@ def embed(model: TransformerModel, tokens: list[int], offset: int = 0) -> Matrix
     return model.embedding[ids] + model.pos[offset:offset + len(ids)]
 
 
+def kv_buffers(config: ModelConfig, n_layers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty key and value buffers for `n_layers` layers of one token
+    sequence, each n_layers x n_heads x max_seq x d_head."""
+    shape = (n_layers, config.n_heads, config.max_seq, config.d_model // config.n_heads)
+    return np.empty(shape), np.empty(shape)
+
+
 def forward_layers(
     model: TransformerModel,
     start: int,
     stop: int,
     h_in: Matrix,
     past: tuple[np.ndarray, np.ndarray, int] | None = None,
+    q_rows: int | None = None,
 ) -> Matrix:
     """Apply decoder layers [start, stop) with causal masking to an n x d state.
 
     `past` = (keys, values, n_past) makes h_in the positions after n_past
     ones these layers have already seen; keys[i] and values[i] are the
     buffers `layer_forward` takes for the i-th layer of the range.
+    `q_rows` makes the range's last layer compute, and return, only the
+    last q_rows rows; the layers before it need every row for its keys.
     """
     if not (0 <= start <= stop <= model.config.n_layers):
         raise ValueError(
             f"bad layer range [{start}, {stop}) for {model.config.n_layers} layers"
         )
     x = _check_hidden(model, h_in, "h_in")
+    if q_rows is not None and not (0 < q_rows <= x.shape[0]):
+        raise ValueError(f"q_rows {q_rows} out of range 1..{x.shape[0]}")
     for i, lw in enumerate(model.layers[start:stop]):
         layer_past = None if past is None else (past[0][i], past[1][i], past[2])
-        x = layer_forward(lw, x, model.config.n_heads, past=layer_past)
+        x = layer_forward(lw, x, model.config.n_heads, past=layer_past,
+                          q_rows=q_rows if start + i == stop - 1 else None)
     return x
 
 
@@ -316,22 +338,35 @@ def pipeline_generate(
     params: SamplingParams,
     eos_id: int | None = None,
 ) -> GenerationTrace:
-    """Monolithic autoregressive decoding, the unsplit baseline."""
+    """Monolithic autoregressive decoding, the unsplit baseline.
+
+    Decodes as a cached LLM service does: every layer keeps the keys and
+    values of the positions it has seen, so each step runs only the new
+    tokens through the layers, and the last layer and the LM head only the
+    last of them. The logits agree with a full recompute of the prefix to
+    rounding (about 1e-16), not bit for bit.
+    """
     if not prompt_tokens:
         raise ValueError("prompt must be nonempty")
     n_layers = model.config.n_layers
     rng = np.random.default_rng(params.seed)
     tokens = list(prompt_tokens)
     trace = GenerationTrace(mode="pipeline", prompt="", seed=params.seed)
+    keys, values = kv_buffers(model.config, n_layers)
+    n_past = 0
     stop_reason = "max_new_tokens"
     for _ in range(params.max_new_tokens):
-        if len(tokens) >= model.config.max_seq:
+        n = len(tokens)
+        if n >= model.config.max_seq:
             stop_reason = "max_seq"
             break
-        h = forward_layers(model, 0, n_layers, embed(model, tokens))
-        lg = logits(model, h)[-1].copy()  # the row alone, not a view of all n
+        h = forward_layers(model, 0, n_layers, embed(model, tokens[n_past:], n_past),
+                           (keys, values, n_past), q_rows=1)
+        n_past = n
+        lg = logits(model, h)[0].copy()
         tok = sample_next(lg, params, rng)
-        trace.steps.append(StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg)))
+        trace.steps.append(StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
+                                      n_ctx=n))
         tokens.append(tok)
         if eos_id is not None and tok == eos_id:
             stop_reason = "eos"

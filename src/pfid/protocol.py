@@ -12,8 +12,10 @@ the client keeps a per-session head cache and computes only the new
 token's row each step, while still shipping and re-privatizing the whole
 n x d H_head. The middle and the tail cannot be cached. Their inputs are
 reconstructions of a fresh rank-k truncation of the whole prefix, so every
-row of them changes every step. They run in full on every request, and the
-server keeps no state between requests.
+row of them changes every step. The middle runs in full on every request,
+since every row of its output is shipped, and the server keeps no state
+between requests. The tail needs every row only up to its last layer's
+keys and values, and computes the rest for the next token's row alone.
 
 Wire format: 32-byte header (magic "PFIDPKT1", version, role, d, n, k,
 step) + binary32 factor payload U | s | V of exactly 4*k*(d+n+1) bytes.
@@ -242,12 +244,12 @@ def encode_packet(f: TruncatedFactors, role: int, step: int) -> bytes:
     if role not in (ROLE_HEAD_FACTORS, ROLE_MID_FACTORS):
         raise FieldError(f"role {role} is not a factor-packet role")
     header = _HDR.pack(PKT_MAGIC, PKT_VERSION, role, f.orig_rows, f.orig_cols, f.k, step)
-    payload = (
-        np.ascontiguousarray(f.u, dtype="<f4").tobytes()
-        + np.ascontiguousarray(f.s, dtype="<f4").tobytes()
-        + np.ascontiguousarray(f.v, dtype="<f4").tobytes()
-    )
-    return header + payload
+    with np.errstate(over="ignore"):
+        payload = np.concatenate([f.u.ravel(), f.s, f.v.ravel()]).astype("<f4")
+    # decode_packet refuses non-finite factors, so refuse to send them.
+    if not np.isfinite(payload).all():
+        raise FieldError("factors overflow binary32")
+    return header + payload.tobytes()
 
 
 def encode_raw_packet(h: Matrix, role: int, step: int) -> bytes:
@@ -419,7 +421,7 @@ def client_generate(
             )
 
         h_prime = reprivatize(reply.hidden(), h_head, config.omega)
-        lg = tail_forward(client, h_prime)[-1].copy()  # the row alone, not a view of all n
+        lg = tail_forward(client, h_prime)
         tok = sample_next(lg, params, rng)
         trace.steps.append(
             StepRecord(

@@ -5,8 +5,9 @@ the original model's arrays. Embedding and positions live with the head;
 final norm and LM head live with the tail, so a client holding head + tail
 can both start and finish decoding locally.
 
-Every forward takes and returns n x d hidden states (positions x
-features), as `model` does; the tail returns n x vocab logits.
+Every forward takes n x d hidden states (positions x features), as `model`
+does. The head and middle return n x d; the tail returns the next token's
+logits, one vocab row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .linalg import Matrix
-from .model import TransformerModel, embed, forward_layers, logits
+from .model import TransformerModel, embed, forward_layers, kv_buffers, logits
 
 __all__ = [
     "ShardSpec",
@@ -91,9 +92,9 @@ class HeadCache:
 def head_cache(shard: Shard) -> HeadCache:
     """An empty head cache for one session of `shard`."""
     cfg = shard.config
-    kv_shape = (shard.spec.split_k, cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads)
+    keys, values = kv_buffers(cfg, shard.spec.split_k)
     return HeadCache(tokens=[], rows=np.empty((cfg.max_seq, cfg.d_model)),
-                     keys=np.empty(kv_shape), values=np.empty(kv_shape))
+                     keys=keys, values=values)
 
 
 def head_forward(shard: Shard, tokens: list[int], cache: HeadCache | None = None) -> Matrix:
@@ -127,6 +128,14 @@ def middle_forward(shard: Shard, h: Matrix) -> Matrix:
     return forward_layers(shard, shard.spec.split_k, shard.spec.split_n, h)
 
 
-def tail_forward(shard: Shard, h: Matrix) -> Matrix:
-    """Tail layer range plus final norm and LM head; n x vocab logits."""
-    return logits(shard, forward_layers(shard, shard.spec.split_n, shard.config.n_layers, h))
+def tail_forward(shard: Shard, h: Matrix) -> np.ndarray:
+    """Tail layer range plus final norm and LM head on an n x d state; the
+    logits of its last position, as an owned (vocab,) row.
+
+    Only the last tail layer's keys and values use every row; its queries
+    and feed-forward, and the LM head, run on row n - 1 alone. The result
+    agrees with row n - 1 of `logits(shard, forward_layers(shard, split_n,
+    n_layers, h))` to rounding (about 1e-16), not bit for bit.
+    """
+    h_last = forward_layers(shard, shard.spec.split_n, shard.config.n_layers, h, q_rows=1)
+    return logits(shard, h_last)[0].copy()

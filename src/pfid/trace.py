@@ -65,6 +65,7 @@ class GenerationTrace:
                     "k_tail": s.k_tail,
                     "bytes_up": s.bytes_up,
                     "bytes_down": s.bytes_down,
+                    "n_ctx": s.n_ctx,
                 }
                 for s in self.steps
             ],

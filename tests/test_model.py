@@ -8,11 +8,13 @@ from pfid.model import (
     filtered_distribution,
     forward_layers,
     init_model,
+    layer_forward,
     logits,
     pipeline_generate,
     sample_next,
 )
 from pfid.model import RMS_EPS
+from reference import reference_pipeline
 
 
 def small_config(**kw):
@@ -109,6 +111,31 @@ class TestForward:
         m = init_model(small_config())
         with pytest.raises(ValueError, match="columns"):
             forward_layers(m, 0, 1, np.zeros((3, 8)))
+
+    @pytest.mark.parametrize("shape", [(9, 16), (3, 9, 16)])
+    def test_last_rows_match_the_full_output(self, shape):
+        """q_rows gives the last rows of the full output within 1e-12
+        (measured: about 1e-16), and all of them bit for bit at q_rows = T."""
+        lw = init_model(small_config()).layers[0]
+        x = np.random.default_rng(0).standard_normal(shape)
+        full = layer_forward(lw, x, 2)
+        for r in (1, 4):
+            got = layer_forward(lw, x, 2, q_rows=r)
+            assert got.shape == (*shape[:-2], r, 16)
+            assert np.abs(got - full[..., -r:, :]).max() <= 1e-12
+        assert np.array_equal(layer_forward(lw, x, 2, q_rows=9), full)
+
+    def test_last_rows_of_a_layer_range(self):
+        """Only the range's last layer drops rows; the ones before it feed
+        it every row's keys and values."""
+        m = init_model(small_config())
+        h = embed(m, [4, 5, 6, 7, 8])
+        full = forward_layers(m, 0, 3, h)
+        for r in (1, 3):
+            assert np.abs(forward_layers(m, 0, 3, h, q_rows=r) - full[-r:]).max() <= 1e-12
+        for r in (0, 6):
+            with pytest.raises(ValueError, match="q_rows"):
+                forward_layers(m, 0, 3, h, q_rows=r)
 
 
 class TestEmbed:
@@ -222,3 +249,26 @@ class TestPipelineGenerate:
         m = init_model(small_config())
         with pytest.raises(ValueError, match="nonempty"):
             pipeline_generate(m, [], SamplingParams(greedy=True))
+
+    def test_cached_decoding_matches_the_full_recompute(self):
+        """Same tokens and stop reason as the reference, which recomputes
+        every layer over the prefix each token, and logits within 1e-12."""
+        m = init_model(small_config(vocab_size=24))
+        greedy = SamplingParams(greedy=True, max_new_tokens=100)
+        sampled = SamplingParams(temperature=0.9, top_p=0.9, top_k=10, max_new_tokens=100, seed=4)
+        eos = reference_pipeline(m, [1, 2], greedy).token_ids[5]
+        runs = [([1, 2], greedy, None, "max_seq"), ([3, 1, 4, 1, 5], sampled, None, "max_seq"),
+                ([1, 2], greedy, eos, "eos")]
+        for prompt, params, eos_id, stop in runs:
+            want = reference_pipeline(m, prompt, params, eos_id)
+            got = pipeline_generate(m, prompt, params, eos_id)
+            assert got.token_ids == want.token_ids
+            assert got.stop_reason == want.stop_reason == stop
+            for a, b in zip(got.steps, want.steps):
+                assert np.abs(a.logits - b.logits).max() <= 1e-12
+
+    def test_records_the_context_length(self):
+        m = init_model(small_config())
+        tr = pipeline_generate(m, [1, 2, 3], SamplingParams(greedy=True, max_new_tokens=6))
+        assert [s.n_ctx for s in tr.steps] == [3, 4, 5, 6, 7, 8]
+        assert [s["n_ctx"] for s in tr.to_dict()["steps"]] == [3, 4, 5, 6, 7, 8]

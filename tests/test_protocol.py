@@ -1,26 +1,36 @@
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfid.protocol
-from pfid.adversary import remnant_generate
+from pfid.adversary import AdversaryMode, eavesdrop_generate, remnant_generate
 from pfid.linalg import truncated_svd
-from pfid.model import SamplingParams
+from pfid.model import ModelConfig, SamplingParams, init_model
 from pfid.protocol import (
+    MID_ROLES,
     PKT_HEADER_BYTES,
     ROLE_ERROR,
     ROLE_HEAD_FACTORS,
+    ROLE_HEAD_RAW,
     ROLE_MID_FACTORS,
     PfidConfig,
+    ProtocolError,
+    _handle_request,
     client_generate,
     decode_packet,
+    encode_error_packet,
     encode_packet,
+    encode_raw_packet,
     run_local_sim,
     serve_middle,
 )
-from pfid.shard import head_forward, split
+from pfid.shard import ShardSpec, head_forward, split
 from pfid.transport import CapturingTransport, InMemoryTransport, TcpServer, connect_tcp
+from reference import full_tail, reference_pipeline
 
 PROMPT = "alice called bo"
 
@@ -45,10 +55,19 @@ def reference_head(monkeypatch):
                         lambda shard, tokens, cache=None: head_forward(shard, tokens))
 
 
+def reference_paths(monkeypatch):
+    """Run the client on the uncached head and the every-row tail, and the
+    pipeline baseline as a full recompute of the prefix every token."""
+    reference_head(monkeypatch)
+    monkeypatch.setattr(pfid.protocol, "tail_forward",
+                        lambda shard, h: full_tail(shard, h)[-1].copy())
+    monkeypatch.setattr(pfid.protocol, "pipeline_generate", reference_pipeline)
+
+
 def test_bypass_configuration_equals_pipeline_bitwise(tiny_model, tokenizer, monkeypatch):
     """omega = 0 and p = 0 with bypass: raw float64 packets, no SVD, so the
-    split run with the reference head is the unsplit pipeline bit for bit."""
-    reference_head(monkeypatch)
+    split run on the reference paths is the unsplit pipeline bit for bit."""
+    reference_paths(monkeypatch)
     sim = run_local_sim(tiny_model, tokenizer, BYPASS, PROMPT)
     assert len(sim.local.steps) == 24
     assert sim.local.token_ids == sim.pipeline.token_ids
@@ -57,8 +76,9 @@ def test_bypass_configuration_equals_pipeline_bitwise(tiny_model, tokenizer, mon
 
 
 def test_bypass_configuration_with_the_head_cache_matches_the_pipeline(tiny_model, tokenizer):
-    """The cached head rows differ from the full recompute by rounding only,
-    which moves no token and no logit by more than 1e-12."""
+    """The cached head and pipeline and the last-row tail differ from the
+    full recompute by rounding only, which moves no token and no logit by
+    more than 1e-12."""
     sim = run_local_sim(tiny_model, tokenizer, BYPASS, PROMPT)
     assert len(sim.local.steps) == 24
     assert sim.local.token_ids == sim.pipeline.token_ids
@@ -197,3 +217,92 @@ def test_noise_is_seeded_and_changes_the_server_replies(tiny_model, tokenizer):
 
     with pytest.raises(ValueError, match="noise_sigma"):
         PfidConfig(noise_sigma=-0.05)
+
+
+def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):
+    """Sampled decoding, so a replay that drew from an unseeded generator
+    would differ."""
+    config = PfidConfig(sampling=SamplingParams(max_new_tokens=12))
+    sim = run_local_sim(tiny_model, tokenizer, config, PROMPT)
+    sharded = split(tiny_model, config.spec)
+    for mode in AdversaryMode:
+        first, second = (
+            eavesdrop_generate(sharded.client(), sim.capture, mode, config, tokenizer, PROMPT)
+            for _ in range(2)
+        )
+        assert len(first.steps) == 12
+        assert_traces_equal(first, second)
+        assert_traces_equal(first, sim.eavesdroppers[mode.value])
+    first, second = (remnant_generate(sharded, sim.local, sim.capture, tokenizer)
+                     for _ in range(2))
+    assert len(first.steps) == 12
+    assert_traces_equal(first, second)
+
+
+FUZZ_MODEL = init_model(ModelConfig(n_layers=3, d_model=8, n_heads=2, d_ff=16,
+                                    vocab_size=96, max_seq=12, seed=1))
+FUZZ_CONFIG = PfidConfig(spec=ShardSpec(1, 2))
+FUZZ_MIDDLE = split(FUZZ_MODEL, FUZZ_CONFIG.spec).middle()
+
+
+_H = np.random.default_rng(0).standard_normal((8, 5))
+VALID_PACKETS = [
+    encode_packet(truncated_svd(_H, 2, seed=0), ROLE_HEAD_FACTORS, 3),
+    encode_packet(truncated_svd(_H, 2, seed=0), ROLE_MID_FACTORS, 3),
+    encode_raw_packet(_H, ROLE_HEAD_RAW, 3),
+    encode_error_packet(4, 3, "bad fields"),
+]
+_U32 = st.one_of(st.integers(0, 20), st.sampled_from([2**31, 2**32 - 1]))
+_WORD = st.one_of(st.binary(min_size=4, max_size=4),
+                  st.floats(width=32).map(lambda x: struct.pack("<f", x)))
+
+
+@st.composite
+def mutated_packets(draw):
+    """A valid packet with one to three edits: a header word (magic,
+    version, role, d, n, k or step) set to a small or extreme value, a
+    payload word overwritten by random bytes or a binary32 value (huge,
+    tiny, infinite and NaN ones included), a cut, or bytes appended.
+    Payload edits are drawn twice as often, since they are the ones that
+    can leave a packet valid."""
+    data = bytearray(draw(st.sampled_from(VALID_PACKETS)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["header", "payload", "payload", "cut", "append"]))
+        if edit == "header":
+            at = 4 * draw(st.integers(0, 7))
+            data[at:at + 4] = draw(_U32).to_bytes(4, "little")
+        elif edit == "payload":
+            if len(data) >= PKT_HEADER_BYTES + 4:
+                at = draw(st.integers(PKT_HEADER_BYTES, len(data) - 4))
+                data[at:at + 4] = draw(_WORD)
+        elif edit == "cut":
+            del data[draw(st.integers(0, len(data))):]
+        else:
+            data += draw(st.binary(max_size=64))
+    return bytes(data)
+
+
+def test_a_reply_that_overflows_binary32_is_an_error_reply():
+    """A finite raw request whose middle output is too large for binary32
+    factors gets an internal-error reply, not factors decode_packet refuses."""
+    h = np.full((8, 5), 1e300)
+    reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG,
+                                          encode_raw_packet(h, ROLE_HEAD_RAW, 3)))
+    assert (reply.role, reply.error_code, reply.step) == (ROLE_ERROR, 6, 3)
+
+
+@given(mutated_packets())
+@settings(max_examples=300, deadline=None)
+def test_decoding_a_mutated_packet_raises_only_protocol_errors(data):
+    for max_n in (None, FUZZ_MODEL.config.max_seq):
+        try:
+            decode_packet(data, max_n)
+        except ProtocolError:
+            pass
+
+
+@given(mutated_packets())
+@settings(max_examples=150, deadline=None)
+def test_the_server_answers_a_mutated_packet_with_a_decodable_reply(data):
+    reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG, data))
+    assert reply.role == ROLE_ERROR or reply.role in MID_ROLES

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pfid.model import ModelConfig, embed, forward_layers, init_model, logits
+from pfid.model import ModelConfig, init_model
 from pfid.shard import ShardSpec, head_cache, head_forward, middle_forward, split, tail_forward
+from reference import full_logits, full_tail
 
 
 def small_config(**kw):
@@ -14,11 +15,6 @@ def small_config(**kw):
 def held(shard):
     """Absolute indices of the layers a shard view holds."""
     return [i for i, lw in enumerate(shard.layers) if lw is not None]
-
-
-def monolithic_logits(model, tokens):
-    h = forward_layers(model, 0, model.config.n_layers, embed(model, tokens))
-    return logits(model, h)
 
 
 class TestSplit:
@@ -83,6 +79,7 @@ class TestSplit:
 
 class TestShardForwards:
     def test_composition_equals_monolithic_exactly(self):
+        """On the every-row reference tail."""
         m = init_model(small_config())
         rng = np.random.default_rng(0)
         specs = [ShardSpec(1, 2), ShardSpec(3, 5), ShardSpec(2, 7), ShardSpec(6, 7)]
@@ -90,8 +87,22 @@ class TestShardForwards:
             s = split(m, spec)
             for _ in range(5):
                 tokens = list(rng.integers(0, 24, size=rng.integers(1, 12)))
-                composed = tail_forward(s, middle_forward(s, head_forward(s, tokens)))
-                assert np.array_equal(composed, monolithic_logits(m, tokens))
+                composed = full_tail(s, middle_forward(s, head_forward(s, tokens)))
+                assert np.array_equal(composed, full_logits(m, tokens))
+
+    @pytest.mark.parametrize("spec", [ShardSpec(1, 2), ShardSpec(3, 5), ShardSpec(2, 7),
+                                      ShardSpec(6, 7)])
+    def test_tail_returns_the_last_row_of_the_reference(self, spec):
+        """The next-token logits as an owned (vocab,) row, within 1e-12 of
+        the every-row tail's last row (measured: about 1e-16)."""
+        s = split(init_model(small_config()), spec)
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 7, 16, 40):
+            h = rng.standard_normal((n, 16))
+            lg = tail_forward(s, h)
+            assert lg.shape == (24,)
+            assert lg.base is None and lg.flags.owndata
+            assert np.abs(lg - full_tail(s, h)[-1]).max() <= 1e-12
 
     def test_head_output_shape(self):
         m = init_model(small_config())
@@ -108,6 +119,7 @@ class TestShardForwards:
         hm = middle_forward(middle, h)
         assert np.array_equal(hm, middle_forward(s, h))
         assert np.array_equal(tail_forward(client, hm), tail_forward(s, hm))
+        assert np.array_equal(full_tail(client, hm), full_tail(s, hm))
 
     def test_tail_weight_isolation(self):
         m = init_model(small_config())
