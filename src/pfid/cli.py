@@ -2,9 +2,14 @@
 
 Subcommands: train the toy model, generate under any scenario (pipeline,
 local over sim or socket, eavesdropper, remnant), serve a middle shard,
-sweep hyperparameters, and emit spectrum/communication analyses. Every
-command is deterministic given the manifest seeds and writes a run manifest
-next to its outputs.
+sweep hyperparameters, report one prompt, and emit spectrum/communication
+analyses. Every command is deterministic given the manifest seeds and
+writes a run manifest next to its outputs.
+
+`generate`, `sweep` and `report` run a session through `run_local_sim`,
+in memory or over a TCP connection, and `sweep` and `report` score it with
+`build_eval_report`: each scenario against the pipeline, and the output
+gap, the local client's score minus an eavesdropper's.
 
 Exit codes: 0 success, 2 config error, 3 transport error, 4 protocol error,
 1 anything else.
@@ -19,49 +24,34 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adversary import AdversaryMode, eavesdrop_generate, remnant_generate, save_capture
+from .adversary import AdversaryMode, remnant_generate, save_capture
 from .corpus import build_corpus, heldout_prompts
 from .linalg import ratio_to_rank
-from .metrics import build_eval_report, spectra_report, token_agreement
-from .model import ModelConfig, SamplingParams, init_model, pipeline_generate
-from .protocol import (
-    PfidConfig,
-    ProtocolError,
-    client_generate,
-    packet_bytes_for,
-    run_local_sim,
-    serve_middle,
-)
+from .metrics import build_eval_report, spectra_report
+from .model import ModelConfig, init_model, pipeline_generate
+from .protocol import PfidConfig, ProtocolError, packet_bytes_for, run_local_sim, serve_middle
 from .shard import ShardSpec, split
 from .tokenizer import ascii96
 from .training import train
-from .transport import CapturingTransport, TcpServer, TransportError, connect_tcp
+from .transport import TcpServer, TransportError, connect_tcp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_PROTOCOL = 4
 
-DEFAULT_SEED_ENV = "PFID_SEED"
+_TAIL_ONLY = AdversaryMode.TAIL_ONLY.value
 
 
 class ConfigError(Exception):
     pass
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(DEFAULT_SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _parse_layer_range(text: str) -> ShardSpec:
@@ -89,8 +79,6 @@ def _load_config(args) -> PfidConfig:
             overrides["seed"] = args.seed
         doc = cfg.to_dict()
         doc.update(overrides)
-        if "seed" not in overrides and getattr(args, "config", None) is None:
-            doc["seed"] = _default_seed()
         return PfidConfig.from_dict(doc)
     except (ValueError, OSError) as e:
         raise ConfigError(str(e)) from e
@@ -122,24 +110,16 @@ def cmd_train(args) -> int:
         corpus = Path(args.corpus).read_text()
     else:
         corpus = build_corpus(args.corpus_lines, seed=args.corpus_seed)
-    seed = args.seed if args.seed is not None else _default_seed()
-    model = init_model(ModelConfig(seed=seed))
-    result = train(model, corpus, steps=args.steps, lr=args.lr, seed=seed)
+    model = init_model(ModelConfig(seed=args.seed))
+    result = train(model, corpus, steps=args.steps, lr=args.lr, seed=args.seed)
     ckpt.save_model(out, result.model)
     loss_log = out.with_suffix(out.suffix + ".losses.json")
     loss_log.write_text(json.dumps(result.losses) + "\n")
-    _write_manifest(out.parent, "train", None, str(out), [], [str(out), str(loss_log)], seed)
+    _write_manifest(out.parent, "train", None, str(out), [], [str(out), str(loss_log)],
+                    args.seed)
     print(f"checkpoint: {out}")
     print(f"loss: {result.losses[0]:.4f} -> {result.losses[-1]:.4f} over {args.steps} steps")
     return EXIT_OK
-
-
-def _generate_over_socket(client_shards, tokenizer, config, prompt, host, port, capture):
-    transport = CapturingTransport(connect_tcp(host, port), capture)
-    try:
-        return client_generate(client_shards, tokenizer, transport, config, prompt)
-    finally:
-        transport.close()
 
 
 def cmd_generate(args) -> int:
@@ -149,40 +129,28 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.transport == "socket" and args.mode != "pipeline":
-        if args.connect is None:
-            raise ConfigError("--connect HOST:PORT is required with --transport socket")
-        host, _, port = args.connect.partition(":")
-        sharded = split(model, config.spec)
-        capture: list[bytes] = []
-        local = _generate_over_socket(
-            sharded.client(), tokenizer, config, args.prompt, host, int(port), capture
-        )
-        traces = {"local": local}
-        if args.mode in ("eavesdropper", "remnant"):
-            traces["eavesdropper"] = eavesdrop_generate(
-                sharded.client(), capture, AdversaryMode.TAIL_ONLY, config, tokenizer,
-                args.prompt,
-            )
-            traces["remnant"] = remnant_generate(sharded, local, capture, tokenizer)
-        picked = traces.get(args.mode, local)
+    if args.mode == "pipeline":
+        ids = tokenizer.encode(args.prompt)
+        picked = pipeline_generate(model, ids, config.sampling, eos_id=tokenizer.eos_id)
+        picked.prompt = args.prompt
+        picked.set_text(tokenizer)
     else:
-        if args.mode == "pipeline":
-            ids = tokenizer.encode(args.prompt)
-            picked = pipeline_generate(model, ids, config.sampling, eos_id=tokenizer.eos_id)
-            picked.prompt = args.prompt
-            picked.set_text(tokenizer)
+        transport = None
+        if args.transport == "socket":
+            if args.connect is None:
+                raise ConfigError("--connect HOST:PORT is required with --transport socket")
+            host, _, port = args.connect.partition(":")
+            transport = connect_tcp(host, int(port))
+        sim = run_local_sim(model, tokenizer, config, args.prompt, transport)
+        if args.mode == "local":
+            picked = sim.local
+        elif args.mode == "eavesdropper":
+            picked = sim.eavesdroppers[_TAIL_ONLY]
         else:
-            sim = run_local_sim(model, tokenizer, config, args.prompt)
-            if args.mode == "local":
-                picked = sim.local
-            elif args.mode == "eavesdropper":
-                picked = sim.eavesdroppers[AdversaryMode.TAIL_ONLY.value]
-            else:
-                sharded = split(model, config.spec)
-                picked = remnant_generate(sharded, sim.local, sim.capture, tokenizer)
-            if args.save_capture:
-                save_capture(out_dir / "capture.pfidcap", sim.capture)
+            picked = remnant_generate(split(model, config.spec), sim.local, sim.capture,
+                                      tokenizer)
+        if args.save_capture:
+            save_capture(out_dir / "capture.pfidcap", sim.capture)
 
     trace_path = out_dir / f"trace_{args.mode}.json"
     trace_path.write_text(json.dumps(picked.to_dict(), indent=2) + "\n")
@@ -214,6 +182,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.prompts < 1:
+        raise ConfigError("--prompts must be >= 1")
     config = _load_config(args)
     tokenizer = ascii96()
     model = ckpt.load_model(args.checkpoint)
@@ -244,18 +214,30 @@ def cmd_sweep(args) -> int:
                         "omega": omega, "phead": phead, "ptail": ptail,
                     })
                     cfg = PfidConfig.from_dict(doc)
-                    row = _run_suite(model, tokenizer, cfg, prompts)
+                    reports, sent, tokens = [], 0, 0
+                    for prompt in prompts:
+                        sim = run_local_sim(model, tokenizer, cfg, prompt)
+                        reports.append(build_eval_report(
+                            sim.pipeline, sim.local, sim.eavesdroppers,
+                            comm_ratio=sim.comm_ratio,
+                        ))
+                        sent += sim.wire_bytes
+                        tokens += len(sim.local.steps)
+                    row = _mean(reports)
                     row.update({
+                        "bytes_per_token": sent / tokens if tokens else 0.0,
                         "layer_range": f"{spec.split_k},{spec.split_n}",
                         "omega": omega, "phead": phead, "ptail": ptail,
                     })
                     rows.append(row)
+                    local = row["scenarios"]["local"]
+                    eaves = row["scenarios"][f"eavesdropper:{_TAIL_ONLY}"]
                     print(
                         f"range=({spec.split_k},{spec.split_n}) omega={omega} "
                         f"phead={phead} ptail={ptail} | "
-                        f"local_agr={row['local_agreement']:.3f} "
-                        f"eaves_agr={row['eaves_agreement']:.3f} "
-                        f"gap={row['agreement_gap']:+.3f} "
+                        f"local_agr={local['token_agreement']:.3f} "
+                        f"eaves_agr={eaves['token_agreement']:.3f} "
+                        f"gap={row['output_gap'][_TAIL_ONLY]['token_agreement']:+.3f} "
                         f"bytes/tok={row['bytes_per_token']:.0f}"
                     )
     table_path = out_dir / "sweep.json"
@@ -266,30 +248,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(model, tokenizer, config, prompts) -> dict:
-    from .metrics import bleu
-
-    local_agr, eaves_agr, local_bleu, eaves_bleu = [], [], [], []
-    bytes_total, tokens_total = 0, 0
-    for prompt in prompts:
-        sim = run_local_sim(model, tokenizer, config, prompt)
-        eaves = sim.eavesdroppers[AdversaryMode.TAIL_ONLY.value]
-        local_agr.append(token_agreement(sim.local, sim.pipeline))
-        eaves_agr.append(token_agreement(eaves, sim.pipeline))
-        if sim.pipeline.text:
-            local_bleu.append(bleu(sim.local.text, sim.pipeline.text, "char"))
-            eaves_bleu.append(bleu(eaves.text, sim.pipeline.text, "char"))
-        bytes_total += sim.wire_bytes
-        tokens_total += len(sim.local.steps)
-    return {
-        "local_agreement": float(np.mean(local_agr)),
-        "eaves_agreement": float(np.mean(eaves_agr)),
-        "agreement_gap": float(np.mean(local_agr) - np.mean(eaves_agr)),
-        "local_bleu": float(np.mean(local_bleu)) if local_bleu else 0.0,
-        "eaves_bleu": float(np.mean(eaves_bleu)) if eaves_bleu else 0.0,
-        "bleu_gap": float(np.mean(local_bleu) - np.mean(eaves_bleu)) if local_bleu else 0.0,
-        "bytes_per_token": bytes_total / tokens_total if tokens_total else 0.0,
-    }
+def _mean(reports: list) -> Any:
+    """Key-by-key mean of equally keyed (nested) score dicts."""
+    if isinstance(reports[0], dict):
+        return {key: _mean([r[key] for r in reports]) for key in reports[0]}
+    return float(np.mean(reports))
 
 
 def cmd_analyze(args) -> int:
@@ -337,15 +300,14 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = run_local_sim(model, tokenizer, config, args.prompt)
-    sharded = split(model, config.spec)
-    remnant = remnant_generate(sharded, sim.local, sim.capture, tokenizer)
+    remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tokenizer)
     report = build_eval_report(
         sim.pipeline, sim.local, sim.eavesdroppers, remnant=remnant,
         comm_ratio=sim.comm_ratio,
     )
     report_path = out_dir / "report.json"
-    report.save(report_path)
-    for name, scores in report.scenarios.items():
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for name, scores in report["scenarios"].items():
         print(f"{name:40s} bleu={scores['bleu']:6.2f} "
               f"agreement={scores['token_agreement']:.3f} kl={scores['mean_logit_kl']:.4f}")
     print(f"report: {report_path}")
@@ -365,21 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-seed", type=int, default=1234)
     p.add_argument("--steps", type=int, default=4000)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.set_defaults(func=cmd_train)
 
-    def add_config_flags(p, with_sampling=True):
+    def add_config_flags(p):
         p.add_argument("--config", help="JSON config file mirroring PfidConfig")
         p.add_argument("--layer-range", help="K,N split points")
         p.add_argument("--omega", type=float, default=None)
         p.add_argument("--phead", type=float, default=None)
         p.add_argument("--ptail", type=float, default=None)
         p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-        if with_sampling:
-            p.add_argument("--greedy", action="store_true")
-            p.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--greedy", action="store_true")
+        p.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("generate", help="decode one prompt under a scenario")
     p.add_argument("--checkpoint", required=True)
@@ -397,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="middle export or full checkpoint")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
-    add_config_flags(p, with_sampling=True)
+    add_config_flags(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("sweep", help="grid-sweep hyperparameters")

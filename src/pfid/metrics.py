@@ -1,12 +1,9 @@
-"""Fidelity and privacy-gap metrics: BLEU, token agreement, logit
+"""Fidelity and output-gap metrics: BLEU, token agreement, logit
 divergence, per-layer spectrum reports and communication ratios."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -20,7 +17,6 @@ __all__ = [
     "logit_kl",
     "spectra_report",
     "tail_share",
-    "EvalReport",
     "build_eval_report",
 ]
 
@@ -152,30 +148,6 @@ def spectra_report(
     return report
 
 
-@dataclass
-class EvalReport:
-    """Scenario metrics keyed by trace label, each against the pipeline
-    baseline, plus the local-minus-eavesdropper privacy gaps."""
-
-    scenarios: dict[str, dict[str, float]] = field(default_factory=dict)
-    privacy_gap: dict[str, dict[str, float]] = field(default_factory=dict)
-    comm_ratio: float = float("nan")
-    spectra: list[dict[str, Any]] = field(default_factory=list)
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenarios": self.scenarios,
-            "privacy_gap": self.privacy_gap,
-            "comm_ratio": self.comm_ratio,
-            "spectra": self.spectra,
-            "meta": self.meta,
-        }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
 def _score(trace: GenerationTrace, pipeline: GenerationTrace, bleu_mode: str) -> dict[str, float]:
     return {
         "bleu": bleu(trace.text, pipeline.text, mode=bleu_mode) if pipeline.text else 0.0,
@@ -191,19 +163,31 @@ def build_eval_report(
     remnant: GenerationTrace | None = None,
     comm_ratio: float = float("nan"),
     bleu_mode: str = "char",
-) -> EvalReport:
-    report = EvalReport(comm_ratio=comm_ratio)
-    report.scenarios["pipeline"] = _score(pipeline, pipeline, bleu_mode)
-    report.scenarios["local"] = _score(local, pipeline, bleu_mode)
+) -> dict[str, Any]:
+    """Score one session against its pipeline baseline.
+
+    Returns {"scenarios": {label: {"bleu", "token_agreement",
+    "mean_logit_kl"}}, "output_gap": {eavesdropper mode: {"bleu",
+    "token_agreement"}}, "comm_ratio": comm_ratio}. The scenario labels
+    are "pipeline", "local", "eavesdropper:<mode>" and, for a remnant with
+    steps, "remnant". The output gap is the local client's score minus the
+    eavesdropper's: how much better the client decodes than someone
+    replaying its traffic. It measures output agreement, not whether the
+    prompt can be read off the wire.
+
+    When the pipeline decoded no text (its first token was the
+    end-of-sequence token), BLEU has no reference and is 0 for every
+    scenario; `sweep` still counts that prompt in its means.
+    """
+    scenarios = {"pipeline": _score(pipeline, pipeline, bleu_mode),
+                 "local": _score(local, pipeline, bleu_mode)}
     for name, trace in eavesdroppers.items():
-        report.scenarios[f"eavesdropper:{name}"] = _score(trace, pipeline, bleu_mode)
+        scenarios[f"eavesdropper:{name}"] = _score(trace, pipeline, bleu_mode)
     if remnant is not None and remnant.steps:
-        report.scenarios["remnant"] = _score(remnant, pipeline, bleu_mode)
-    local_scores = report.scenarios["local"]
-    for name in eavesdroppers:
-        eav = report.scenarios[f"eavesdropper:{name}"]
-        report.privacy_gap[name] = {
-            "bleu": local_scores["bleu"] - eav["bleu"],
-            "token_agreement": local_scores["token_agreement"] - eav["token_agreement"],
-        }
-    return report
+        scenarios["remnant"] = _score(remnant, pipeline, bleu_mode)
+    output_gap = {
+        name: {key: scenarios["local"][key] - scenarios[f"eavesdropper:{name}"][key]
+               for key in ("bleu", "token_agreement")}
+        for name in eavesdroppers
+    }
+    return {"scenarios": scenarios, "output_gap": output_gap, "comm_ratio": comm_ratio}

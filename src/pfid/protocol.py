@@ -110,6 +110,7 @@ ERR_OVERSIZE = 5
 ERR_INTERNAL = 6
 
 _NO_STEP = 0xFFFFFFFF
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class ProtocolError(Exception):
@@ -304,8 +305,11 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
                 f"raw payload is {len(payload)} bytes, expected {expect} for {d}x{n}"
             )
         h = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(d, n)
-        if not np.isfinite(h).all():
-            raise FieldError("raw payload contains non-finite values")
+        # Also false for NaN and inf. A larger state cannot come back as
+        # binary32 factors, and above about 1e154 the RMS norm's squares
+        # overflow float64.
+        if not (np.abs(h) <= _F32_MAX).all():
+            raise FieldError("raw payload values must be finite and within the binary32 range")
         return Packet(role=role, step=step, d=d, n=n, k=0, matrix=h)
 
     if not (1 <= k <= min(d, n)):
@@ -503,40 +507,58 @@ class SimResult:
     comm_ratio: float  # wire bytes over the binary32 baseline
 
 
+# Seconds run_local_sim waits for its in-memory server thread to end after
+# the client closes the channel.
+SERVER_JOIN_TIMEOUT_S = 10.0
+
+
 def run_local_sim(
     model: TransformerModel,
     tokenizer: Tokenizer,
     config: PfidConfig,
     prompt: str,
+    transport=None,
 ) -> SimResult:
-    """Run every role in-process: pipeline baseline, protocol client/server
-    over an in-memory transport, and both eavesdropper modes replaying the
-    captured packet stream. Identical protocol math as the socket path."""
+    """Run one protocol session and everything scored against it: the
+    pipeline baseline, the client, and both eavesdropper modes replaying
+    the captured packet stream.
+
+    Without a transport the middle is served in-process over an in-memory
+    channel; with one (a client connection to a serving middle shard) the
+    client runs over it. Either way the transport is closed when the
+    session ends. Raises RuntimeError if the in-memory server thread is
+    still running SERVER_JOIN_TIMEOUT_S after that.
+    """
     from .adversary import AdversaryMode, eavesdrop_generate
 
     sharded = split(model, config.spec)
-    prompt_ids = tokenizer.encode(prompt)
-    if not prompt_ids:
-        raise ValueError("prompt must be nonempty")
-
-    pipeline = pipeline_generate(model, prompt_ids, config.sampling, eos_id=tokenizer.eos_id)
+    pipeline = pipeline_generate(
+        model, tokenizer.encode(prompt), config.sampling, eos_id=tokenizer.eos_id
+    )
     pipeline.prompt = prompt
     pipeline.set_text(tokenizer)
 
-    client_end, server_end = InMemoryTransport.pair()
-    server = threading.Thread(
-        target=serve_middle, args=(sharded.middle(), server_end, config), daemon=True
-    )
-    server.start()
+    server = None
+    if transport is None:
+        transport, server_end = InMemoryTransport.pair()
+        server = threading.Thread(
+            target=serve_middle, args=(sharded.middle(), server_end, config), daemon=True
+        )
+        server.start()
     capture: list[bytes] = []
     try:
         local = client_generate(
-            sharded.client(), tokenizer, CapturingTransport(client_end, capture),
+            sharded.client(), tokenizer, CapturingTransport(transport, capture),
             config, prompt,
         )
     finally:
-        client_end.close()
-        server.join(timeout=10)
+        transport.close()
+        if server is not None:
+            server.join(timeout=SERVER_JOIN_TIMEOUT_S)
+    if server is not None and server.is_alive():
+        raise RuntimeError(
+            f"in-memory server thread still running {SERVER_JOIN_TIMEOUT_S} s after the session"
+        )
 
     eavesdroppers = {
         mode.value: eavesdrop_generate(

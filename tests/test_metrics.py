@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfid.metrics import bleu, logit_kl, tail_share, token_agreement
+from pfid.metrics import build_eval_report, bleu, logit_kl, tail_share, token_agreement
+from pfid.model import SamplingParams
+from pfid.protocol import PfidConfig, run_local_sim
 from pfid.trace import GenerationTrace, StepRecord
 
 
@@ -143,3 +145,29 @@ class TestTailShare:
 
     def test_q_clamped(self):
         assert tail_share(np.array([3.0, 1.0]), 10) == pytest.approx(1.0)
+
+
+class TestBuildEvalReport:
+    def test_bypass_scores_the_local_client_as_the_pipeline(self, tiny_model, tokenizer):
+        """omega = 0 and raw packets: the client and the tail-only
+        eavesdropper both decode the pipeline's tokens. The cached paths
+        differ from the pipeline by rounding, so the KL is 0 to rounding."""
+        config = PfidConfig(omega=0.0, phead=0.0, ptail=0.0,
+                            sampling=SamplingParams(greedy=True, max_new_tokens=8))
+        sim = run_local_sim(tiny_model, tokenizer, config, "alice called bo")
+        report = build_eval_report(sim.pipeline, sim.local, sim.eavesdroppers)
+        local = report["scenarios"]["local"]
+        assert local["token_agreement"] == 1.0
+        assert local["mean_logit_kl"] == pytest.approx(0.0, abs=1e-12)
+        assert report["output_gap"]["tail_only"] == {"bleu": 0.0, "token_agreement": 0.0}
+
+    def test_an_empty_pipeline_text_scores_bleu_zero_everywhere(self):
+        logits = [[1.0, 0.0], [0.0, 1.0]]
+        pipeline, local, eaves = (_trace([0, 1], logits) for _ in range(3))
+        eaves.steps[1].token_id = 0
+        local.text = eaves.text = "ab"
+        report = build_eval_report(pipeline, local, {"tail_only": eaves})
+        for scores in report["scenarios"].values():
+            assert scores["bleu"] == 0.0
+        assert report["scenarios"]["local"]["token_agreement"] == 1.0
+        assert report["output_gap"]["tail_only"] == {"bleu": 0.0, "token_agreement": 0.5}

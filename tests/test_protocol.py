@@ -1,5 +1,6 @@
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,28 @@ def test_comm_totals_match_the_trace(tiny_model, tokenizer, phead, ptail):
     assert sim.comm_ratio == sent / baseline
 
 
+def test_a_server_thread_that_outlives_the_join_timeout_raises(tiny_model, tokenizer,
+                                                              monkeypatch):
+    """The in-memory server serves the session, then blocks past the join
+    timeout; run_local_sim raises instead of returning with it running."""
+    release, ended = threading.Event(), threading.Event()
+
+    def stuck_server(middle, transport, config):
+        serve_middle(middle, transport, config)
+        release.wait()
+        ended.set()
+
+    monkeypatch.setattr(pfid.protocol, "serve_middle", stuck_server)
+    monkeypatch.setattr(pfid.protocol, "SERVER_JOIN_TIMEOUT_S", 0.05)
+    config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=2))
+    try:
+        with pytest.raises(RuntimeError, match="server thread still running"):
+            run_local_sim(tiny_model, tokenizer, config, PROMPT)
+    finally:
+        release.set()
+        assert ended.wait(timeout=10)
+
+
 def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
     """The served model bounds n, read from the header before the payload is
     decoded; the connection keeps serving after each refusal."""
@@ -283,12 +306,24 @@ def mutated_packets(draw):
 
 
 def test_a_reply_that_overflows_binary32_is_an_error_reply():
-    """A finite raw request whose middle output is too large for binary32
-    factors gets an internal-error reply, not factors decode_packet refuses."""
-    h = np.full((8, 5), 1e300)
+    """A raw request within the binary32 range whose middle output is too
+    large for binary32 factors gets an internal-error reply, not factors
+    decode_packet refuses."""
+    h = np.full((8, 5), 1e38)
     reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG,
                                           encode_raw_packet(h, ROLE_HEAD_RAW, 3)))
     assert (reply.role, reply.error_code, reply.step) == (ROLE_ERROR, 6, 3)
+
+
+def test_a_raw_request_beyond_the_binary32_range_is_refused_before_the_middle():
+    """A finite 1e300 would overflow the middle's RMS norm; decode_packet
+    refuses it as a field error, so no layer runs and nothing warns."""
+    h = np.full((8, 5), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG,
+                                              encode_raw_packet(h, ROLE_HEAD_RAW, 3)))
+    assert (reply.role, reply.error_code, reply.step) == (ROLE_ERROR, 4, 3)
 
 
 @given(mutated_packets())
