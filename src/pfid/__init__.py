@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .linalg import (  # noqa: E402,F401
     TruncatedFactors,
-    add_noise,
     ratio_to_rank,
     reconstruct,
     truncated_svd,

@@ -23,7 +23,7 @@ from .model import sample_next
 from .protocol import HEAD_ROLES, MID_ROLES, FieldError, Packet, PfidConfig, decode_packet
 from .shard import Shard, head_cache, head_forward, middle_forward, tail_forward
 from .tokenizer import Tokenizer
-from .trace import GenerationTrace, StepRecord, top5_fingerprint
+from .trace import GenerationTrace, StepRecord
 
 __all__ = [
     "AdversaryMode",
@@ -89,8 +89,7 @@ def eavesdrop_generate(
         lg = tail_forward(public, h)
         tok = sample_next(lg, params, rng)
         trace.steps.append(
-            StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
-                       k_head=up.k, k_tail=down.k, n_ctx=down.n)
+            StepRecord(token_id=tok, logits=lg, k_head=up.k, k_tail=down.k, n_ctx=down.n)
         )
     trace.text = tokenizer.decode(trace.token_ids).rstrip("\n")
     trace.stop_reason = "stream_end"
@@ -128,10 +127,7 @@ def remnant_generate(
         h_mid = middle_forward(sharded, residual)
         lg = tail_forward(sharded, h_mid)
         tok = int(np.argmax(lg))
-        trace.steps.append(
-            StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
-                       k_head=up.k, n_ctx=up.n)
-        )
+        trace.steps.append(StepRecord(token_id=tok, logits=lg, k_head=up.k, n_ctx=up.n))
     if all_zero:
         trace.stop_reason = "empty_remnant"
         trace.text = ""

@@ -6,10 +6,12 @@ sweep hyperparameters, report one prompt, and emit spectrum/communication
 analyses. Every command is deterministic given the manifest seeds and
 writes a run manifest next to its outputs.
 
-`generate`, `sweep` and `report` run a session through `run_local_sim`,
-in memory or over a TCP connection, and `sweep` and `report` score it with
-`build_eval_report`: each scenario against the pipeline, and the output
-gap, the local client's score minus an eavesdropper's.
+`generate`, `sweep` and `report` run a session through `run_local_sim`:
+in process, where the middle answers each request in the caller's thread,
+or, for `generate --transport socket`, over a TCP connection to
+`pfid serve`. `sweep` and `report` score it with `build_eval_report`:
+each scenario against the pipeline, and the output gap, the local
+client's score minus an eavesdropper's.
 
 Exit codes: 0 success, 2 config error, 3 transport error, 4 protocol error,
 1 anything else.
@@ -69,7 +71,7 @@ def _load_config(args) -> PfidConfig:
         if getattr(args, "layer_range", None):
             spec = _parse_layer_range(args.layer_range)
             overrides["layer_range"] = [spec.split_k, spec.split_n]
-        for key in ("omega", "phead", "ptail", "noise_sigma", "max_new_tokens"):
+        for key in ("omega", "phead", "ptail", "max_new_tokens"):
             val = getattr(args, key, None)
             if val is not None:
                 overrides[key] = val
@@ -337,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, default=None)
         p.add_argument("--phead", type=float, default=None)
         p.add_argument("--ptail", type=float, default=None)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
         p.add_argument("--greedy", action="store_true")
         p.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)

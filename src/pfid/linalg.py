@@ -19,7 +19,6 @@ __all__ = [
     "truncated_svd",
     "reconstruct",
     "ratio_to_rank",
-    "add_noise",
 ]
 
 Matrix = np.ndarray
@@ -146,14 +145,3 @@ def ratio_to_rank(p: float, d: int, n: int) -> int:
         raise ValueError(f"dimensions must be positive, got d={d}, n={n}")
     kept = (1.0 - p) * min(d, n)
     return max(1, int(np.floor(kept + 0.5)))
-
-
-def add_noise(h: Matrix, sigma: float, seed: int) -> Matrix:
-    """h plus i.i.d. Gaussian(0, sigma^2) noise, deterministic per seed."""
-    h = check_matrix(h, "h")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0:
-        return h.copy()
-    rng = np.random.default_rng(seed)
-    return h + sigma * rng.standard_normal(h.shape)

@@ -148,9 +148,9 @@ def spectra_report(
     return report
 
 
-def _score(trace: GenerationTrace, pipeline: GenerationTrace, bleu_mode: str) -> dict[str, float]:
+def _score(trace: GenerationTrace, pipeline: GenerationTrace) -> dict[str, float]:
     return {
-        "bleu": bleu(trace.text, pipeline.text, mode=bleu_mode) if pipeline.text else 0.0,
+        "bleu": bleu(trace.text, pipeline.text, mode="char") if pipeline.text else 0.0,
         "token_agreement": token_agreement(trace, pipeline),
         "mean_logit_kl": logit_kl(trace, pipeline),
     }
@@ -162,7 +162,6 @@ def build_eval_report(
     eavesdroppers: dict[str, GenerationTrace],
     remnant: GenerationTrace | None = None,
     comm_ratio: float = float("nan"),
-    bleu_mode: str = "char",
 ) -> dict[str, Any]:
     """Score one session against its pipeline baseline.
 
@@ -179,12 +178,12 @@ def build_eval_report(
     end-of-sequence token), BLEU has no reference and is 0 for every
     scenario; `sweep` still counts that prompt in its means.
     """
-    scenarios = {"pipeline": _score(pipeline, pipeline, bleu_mode),
-                 "local": _score(local, pipeline, bleu_mode)}
+    scenarios = {"pipeline": _score(pipeline, pipeline),
+                 "local": _score(local, pipeline)}
     for name, trace in eavesdroppers.items():
-        scenarios[f"eavesdropper:{name}"] = _score(trace, pipeline, bleu_mode)
+        scenarios[f"eavesdropper:{name}"] = _score(trace, pipeline)
     if remnant is not None and remnant.steps:
-        scenarios["remnant"] = _score(remnant, pipeline, bleu_mode)
+        scenarios["remnant"] = _score(remnant, pipeline)
     output_gap = {
         name: {key: scenarios["local"][key] - scenarios[f"eavesdropper:{name}"][key]
                for key in ("bleu", "token_agreement")}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .linalg import Matrix, check_matrix
-from .trace import GenerationTrace, StepRecord, top5_fingerprint
+from .trace import GenerationTrace, StepRecord
 
 __all__ = [
     "ModelConfig",
@@ -365,8 +365,7 @@ def pipeline_generate(
         n_past = n
         lg = logits(model, h)[0].copy()
         tok = sample_next(lg, params, rng)
-        trace.steps.append(StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
-                                      n_ctx=n))
+        trace.steps.append(StepRecord(token_id=tok, logits=lg, n_ctx=n))
         tokens.append(tok)
         if eos_id is not None and tok == eos_id:
             stop_reason = "eos"

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -43,7 +42,6 @@ import numpy as np
 from .linalg import (
     Matrix,
     TruncatedFactors,
-    add_noise,
     check_matrix,
     ratio_to_rank,
     reconstruct,
@@ -52,8 +50,8 @@ from .linalg import (
 from .model import SamplingParams, TransformerModel, pipeline_generate, sample_next
 from .shard import Shard, ShardSpec, head_cache, head_forward, middle_forward, split, tail_forward
 from .tokenizer import Tokenizer
-from .trace import GenerationTrace, StepRecord, top5_fingerprint
-from .transport import CapturingTransport, InMemoryTransport, TransportClosed, TransportError
+from .trace import GenerationTrace, StepRecord
+from .transport import CapturingTransport, TransportClosed, TransportError
 
 __all__ = [
     "ProtocolError",
@@ -153,7 +151,6 @@ class PfidConfig:
     phead: float = 0.65
     ptail: float = 0.75
     sampling: SamplingParams = SamplingParams()
-    noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.omega) or self.omega < 0:
@@ -161,8 +158,6 @@ class PfidConfig:
         for name, r in (("phead", self.phead), ("ptail", self.ptail)):
             if not (0.0 <= r < 1.0):
                 raise ValueError(f"{name} must be in [0, 1), got {r}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -176,7 +171,6 @@ class PfidConfig:
             "max_new_tokens": self.sampling.max_new_tokens,
             "greedy": self.sampling.greedy,
             "seed": self.sampling.seed,
-            "noise_sigma": self.noise_sigma,
         }
 
     @classmethod
@@ -202,7 +196,6 @@ class PfidConfig:
             phead=float(doc.get("phead", base.phead)),
             ptail=float(doc.get("ptail", base.ptail)),
             sampling=sampling,
-            noise_sigma=float(doc.get("noise_sigma", base.noise_sigma)),
         )
 
     def save(self, path: str | Path) -> None:
@@ -348,18 +341,13 @@ def reprivatize(h_mid_hat: Matrix, h_head: Matrix, omega: float) -> Matrix:
 
 
 # Deterministic per-step seeds keep sim and socket runs bit-identical:
-# client-side SVD uses 2*step, server-side SVD 2*step + 1, server noise a
-# fixed offset plus step.
+# client-side SVD uses 2*step, server-side SVD 2*step + 1.
 def _client_svd_seed(step: int) -> int:
     return 2 * step
 
 
 def _server_svd_seed(step: int) -> int:
     return 2 * step + 1
-
-
-def _noise_seed(step: int) -> int:
-    return 1_000_003 + step
 
 
 def _encode_hidden(
@@ -429,10 +417,8 @@ def client_generate(
         tok = sample_next(lg, params, rng)
         trace.steps.append(
             StepRecord(
-                token_id=tok, logits=lg, top5=top5_fingerprint(lg),
-                k_head=k_h, k_tail=reply.k,
-                bytes_up=len(request), bytes_down=len(reply_bytes),
-                n_ctx=n,
+                token_id=tok, logits=lg, k_head=k_h, k_tail=reply.k,
+                bytes_up=len(request), bytes_down=len(reply_bytes), n_ctx=n,
             )
         )
         tokens.append(tok)
@@ -466,10 +452,7 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
         )
 
     try:
-        h = pkt.hidden()
-        if config.noise_sigma > 0:
-            h = add_noise(h, config.noise_sigma, seed=_noise_seed(step))
-        h_mid = middle_forward(middle, h)
+        h_mid = middle_forward(middle, pkt.hidden())
         return _encode_hidden(h_mid, config.ptail, MID_ROLES, step, _server_svd_seed(step))[0]
     except Exception as e:  # never crash the serving loop on one request
         return encode_error_packet(ERR_INTERNAL, step, f"server failure: {e}")
@@ -480,7 +463,8 @@ def serve_middle(middle: Shard, transport, config: PfidConfig) -> None:
 
     Stateless between tokens: every request carries its own dimensions and
     step index, so independent sessions can interleave freely across
-    connections.
+    connections. An in-process session (`run_local_sim` without a
+    transport) calls the same request handler in its own thread instead.
     """
     while True:
         try:
@@ -507,9 +491,25 @@ class SimResult:
     comm_ratio: float  # wire bytes over the binary32 baseline
 
 
-# Seconds run_local_sim waits for its in-memory server thread to end after
-# the client closes the channel.
-SERVER_JOIN_TIMEOUT_S = 10.0
+class _InlineServer:
+    """Client end of an in-process session: each request is answered in the
+    caller's thread. The middle keeps no state between requests and the
+    client strictly alternates one send with one receive, so no server
+    thread or channel is needed."""
+
+    def __init__(self, middle: Shard, config: PfidConfig):
+        self._middle = middle
+        self._config = config
+        self._reply = b""
+
+    def send_bytes(self, data: bytes) -> None:
+        self._reply = _handle_request(self._middle, self._config, data)
+
+    def recv_bytes(self) -> bytes:
+        return self._reply
+
+    def close(self) -> None:
+        pass
 
 
 def run_local_sim(
@@ -523,11 +523,10 @@ def run_local_sim(
     pipeline baseline, the client, and both eavesdropper modes replaying
     the captured packet stream.
 
-    Without a transport the middle is served in-process over an in-memory
-    channel; with one (a client connection to a serving middle shard) the
-    client runs over it. Either way the transport is closed when the
-    session ends. Raises RuntimeError if the in-memory server thread is
-    still running SERVER_JOIN_TIMEOUT_S after that.
+    Without a transport the middle answers each request in the caller's
+    thread, through the same request handler `serve_middle` uses; with one
+    (a client connection to a serving middle shard) the client runs over
+    it, and it is closed when the session ends.
     """
     from .adversary import AdversaryMode, eavesdrop_generate
 
@@ -538,13 +537,8 @@ def run_local_sim(
     pipeline.prompt = prompt
     pipeline.set_text(tokenizer)
 
-    server = None
     if transport is None:
-        transport, server_end = InMemoryTransport.pair()
-        server = threading.Thread(
-            target=serve_middle, args=(sharded.middle(), server_end, config), daemon=True
-        )
-        server.start()
+        transport = _InlineServer(sharded.middle(), config)
     capture: list[bytes] = []
     try:
         local = client_generate(
@@ -553,12 +547,6 @@ def run_local_sim(
         )
     finally:
         transport.close()
-        if server is not None:
-            server.join(timeout=SERVER_JOIN_TIMEOUT_S)
-    if server is not None and server.is_alive():
-        raise RuntimeError(
-            f"in-memory server thread still running {SERVER_JOIN_TIMEOUT_S} s after the session"
-        )
 
     eavesdroppers = {
         mode.value: eavesdrop_generate(

@@ -20,7 +20,6 @@ def top5_fingerprint(logits: np.ndarray) -> list[tuple[int, float]]:
 class StepRecord:
     token_id: int
     logits: np.ndarray | None = None
-    top5: list[tuple[int, float]] = field(default_factory=list)
     k_head: int = 0
     k_tail: int = 0
     bytes_up: int = 0
@@ -49,7 +48,8 @@ class GenerationTrace:
         self.text = tokenizer.decode(ids[:-1] if self.stop_reason == "eos" else ids)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly form; full logit vectors are dropped, top-5 kept."""
+        """JSON-friendly form: each step's full logit vector is dropped and
+        its top five are kept ([] for a step without logits)."""
         return {
             "mode": self.mode,
             "prompt": self.prompt,
@@ -60,7 +60,8 @@ class GenerationTrace:
             "steps": [
                 {
                     "token_id": s.token_id,
-                    "top5": [[i, v] for i, v in s.top5],
+                    "top5": ([[i, v] for i, v in top5_fingerprint(s.logits)]
+                             if s.logits is not None else []),
                     "k_head": s.k_head,
                     "k_tail": s.k_tail,
                     "bytes_up": s.bytes_up,

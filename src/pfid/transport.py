@@ -1,4 +1,5 @@
-"""Reliable ordered message transports: in-memory queues and TCP sockets.
+"""Reliable ordered message transports over stream sockets: TCP, and a
+connected socket pair for in-process channels.
 
 Every message is one length-prefixed frame (u32 little-endian byte count,
 then the payload). The protocol layer treats both transports identically;
@@ -7,7 +8,6 @@ traces must come out bit-for-bit the same over either.
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
@@ -35,46 +35,8 @@ class TransportClosed(TransportError):
     """Orderly shutdown of the peer or this endpoint."""
 
 
-class InMemoryTransport:
-    """One endpoint of an in-process duplex channel."""
-
-    _CLOSE = object()
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue, timeout: float = 30.0):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._timeout = timeout
-        self._closed = False
-
-    @classmethod
-    def pair(cls, timeout: float = 30.0) -> tuple["InMemoryTransport", "InMemoryTransport"]:
-        a, b = queue.Queue(), queue.Queue()
-        return cls(a, b, timeout), cls(b, a, timeout)
-
-    def send_bytes(self, data: bytes) -> None:
-        if self._closed:
-            raise TransportClosed("transport is closed")
-        self._outbox.put(bytes(data))
-
-    def recv_bytes(self) -> bytes:
-        if self._closed:
-            raise TransportClosed("transport is closed")
-        try:
-            item = self._inbox.get(timeout=self._timeout)
-        except queue.Empty:
-            raise TransportError(f"receive timed out after {self._timeout}s") from None
-        if item is self._CLOSE:
-            raise TransportClosed("peer closed the channel")
-        return item
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(self._CLOSE)
-
-
 class SocketTransport:
-    """Length-prefixed frames over a connected TCP socket."""
+    """Length-prefixed frames over a connected stream socket."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -112,6 +74,19 @@ class SocketTransport:
         except OSError:
             pass
         self._sock.close()
+
+
+class InMemoryTransport(SocketTransport):
+    """One end of an in-process duplex channel: a connected socket pair,
+    framed exactly like TCP. A send blocks while the peer's receive buffer
+    is full, so, as over TCP, the other end needs a reader."""
+
+    @classmethod
+    def pair(cls, timeout: float = 30.0) -> tuple["InMemoryTransport", "InMemoryTransport"]:
+        ends = socket.socketpair()
+        for end in ends:
+            end.settimeout(timeout)
+        return cls(ends[0]), cls(ends[1])
 
 
 class CapturingTransport:
@@ -179,6 +154,11 @@ class TcpServer:
     def stop(self) -> None:
         if not self._stopping:
             self._stopping = True
+            # close() alone does not wake a thread blocked in accept().
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         if self._thread:
             self._thread.join(timeout=5)

@@ -10,7 +10,7 @@ savings, so tests can compare against them.
 import numpy as np
 
 from pfid.model import embed, forward_layers, logits, sample_next
-from pfid.trace import GenerationTrace, StepRecord, top5_fingerprint
+from pfid.trace import GenerationTrace, StepRecord
 
 
 def full_tail(shard, h):
@@ -36,8 +36,7 @@ def reference_pipeline(model, prompt_tokens, params, eos_id=None):
             break
         lg = full_logits(model, tokens)[-1].copy()
         tok = sample_next(lg, params, rng)
-        trace.steps.append(StepRecord(token_id=tok, logits=lg, top5=top5_fingerprint(lg),
-                                      n_ctx=len(tokens)))
+        trace.steps.append(StepRecord(token_id=tok, logits=lg, n_ctx=len(tokens)))
         tokens.append(tok)
         if eos_id is not None and tok == eos_id:
             trace.stop_reason = "eos"

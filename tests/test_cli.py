@@ -69,6 +69,12 @@ def test_config_file_with_an_unknown_key_exits_2(checkpoint, tmp_path):
     assert generate(checkpoint, tmp_path, "--config", str(config)) == EXIT_CONFIG
 
 
+def test_config_file_with_noise_sigma_exits_2(checkpoint, tmp_path):
+    config = tmp_path / "noisy.json"
+    config.write_text(json.dumps({"noise_sigma": 0.05}))
+    assert generate(checkpoint, tmp_path, "--config", str(config)) == EXIT_CONFIG
+
+
 def test_socket_and_sim_runs_write_the_same_trace_and_capture(checkpoint, tmp_path):
     """The same flags as `generate`; the server serves the same middle."""
     config = PfidConfig(spec=ShardSpec(1, 2), sampling=SamplingParams(max_new_tokens=4))

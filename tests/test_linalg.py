@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pfid.linalg import (
     TruncatedFactors,
-    add_noise,
     ratio_to_rank,
     reconstruct,
     truncated_svd,
@@ -187,24 +186,3 @@ class TestRatioToRank:
     def test_index_based_not_energy_based(self):
         # the rank depends only on (p, min(d, n)), never on matrix content
         assert ratio_to_rank(0.5, 64, 100) == ratio_to_rank(0.5, 64, 5000)
-
-
-class TestAddNoise:
-    def test_zero_sigma_is_identity(self):
-        h = np.random.default_rng(0).standard_normal((5, 4))
-        assert np.array_equal(add_noise(h, 0.0, seed=1), h)
-
-    def test_deterministic_per_seed(self):
-        h = np.random.default_rng(0).standard_normal((5, 4))
-        assert np.array_equal(add_noise(h, 0.3, seed=2), add_noise(h, 0.3, seed=2))
-        assert not np.array_equal(add_noise(h, 0.3, seed=2), add_noise(h, 0.3, seed=3))
-
-    def test_empirical_std_matches_sigma(self):
-        h = np.zeros((1000, 64))
-        eps = add_noise(h, 0.1, seed=4) - h
-        assert abs(eps.std() - 0.1) / 0.1 <= 0.05
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            add_noise(np.ones((2, 2)), -0.1, seed=0)
-

@@ -272,3 +272,14 @@ class TestPipelineGenerate:
         tr = pipeline_generate(m, [1, 2, 3], SamplingParams(greedy=True, max_new_tokens=6))
         assert [s.n_ctx for s in tr.steps] == [3, 4, 5, 6, 7, 8]
         assert [s["n_ctx"] for s in tr.to_dict()["steps"]] == [3, 4, 5, 6, 7, 8]
+
+    def test_serializes_the_top_five_of_each_steps_logits(self):
+        m = init_model(small_config())
+        tr = pipeline_generate(m, [1, 2, 3], SamplingParams(greedy=True, max_new_tokens=3))
+        tr.steps[1].logits = None
+        top5 = [s["top5"] for s in tr.to_dict()["steps"]]
+        assert top5[1] == []
+        for row, step in zip(top5[::2], tr.steps[::2]):
+            ids = np.argsort(-step.logits, kind="stable")[:5]
+            assert row == [[int(i), float(step.logits[i])] for i in ids]
+            assert row[0][0] == step.token_id

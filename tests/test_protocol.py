@@ -169,26 +169,15 @@ def test_comm_totals_match_the_trace(tiny_model, tokenizer, phead, ptail):
     assert sim.comm_ratio == sent / baseline
 
 
-def test_a_server_thread_that_outlives_the_join_timeout_raises(tiny_model, tokenizer,
-                                                              monkeypatch):
-    """The in-memory server serves the session, then blocks past the join
-    timeout; run_local_sim raises instead of returning with it running."""
-    release, ended = threading.Event(), threading.Event()
+def test_an_in_memory_session_starts_no_thread(tiny_model, tokenizer, monkeypatch):
+    """The middle answers each request in the caller's thread."""
+    def refuse(thread):
+        raise AssertionError(f"run_local_sim started a thread: {thread.name}")
 
-    def stuck_server(middle, transport, config):
-        serve_middle(middle, transport, config)
-        release.wait()
-        ended.set()
-
-    monkeypatch.setattr(pfid.protocol, "serve_middle", stuck_server)
-    monkeypatch.setattr(pfid.protocol, "SERVER_JOIN_TIMEOUT_S", 0.05)
-    config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=2))
-    try:
-        with pytest.raises(RuntimeError, match="server thread still running"):
-            run_local_sim(tiny_model, tokenizer, config, PROMPT)
-    finally:
-        release.set()
-        assert ended.wait(timeout=10)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=4))
+    sim = run_local_sim(tiny_model, tokenizer, config, PROMPT)
+    assert len(sim.local.steps) == 4 and len(sim.capture) == 8
 
 
 def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
@@ -221,25 +210,6 @@ def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
     assert (refused.role, refused.error_code, refused.step) == (ROLE_ERROR, 5, 0)
     assert (truncated.role, truncated.error_code, truncated.step) == (ROLE_ERROR, 5, 1)
     assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 2, d, 5)
-
-
-def test_noise_is_seeded_and_changes_the_server_replies(tiny_model, tokenizer):
-    sampling = SamplingParams(greedy=True, max_new_tokens=8)
-    noisy = PfidConfig(noise_sigma=0.05, sampling=sampling)
-    a = run_local_sim(tiny_model, tokenizer, noisy, PROMPT)
-    b = run_local_sim(tiny_model, tokenizer, noisy, PROMPT)
-    assert a.capture == b.capture
-    for name in ("pipeline", "local"):
-        assert_traces_equal(getattr(a, name), getattr(b, name))
-    for name in a.eavesdroppers:
-        assert_traces_equal(a.eavesdroppers[name], b.eavesdroppers[name])
-
-    clean = run_local_sim(tiny_model, tokenizer, PfidConfig(sampling=sampling), PROMPT)
-    assert a.capture[0] == clean.capture[0]
-    assert all(x != y for x, y in zip(a.capture[1::2], clean.capture[1::2]))
-
-    with pytest.raises(ValueError, match="noise_sigma"):
-        PfidConfig(noise_sigma=-0.05)
 
 
 def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):

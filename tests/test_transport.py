@@ -1,4 +1,5 @@
 import threading
+import time
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestSocket:
                 client.recv_bytes()
         finally:
             server.stop()
+
+    def test_stop_ends_the_accept_thread_at_once(self):
+        server = TcpServer(lambda t: t.close()).start()
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 1.0
+        assert not server._thread.is_alive()
 
     def test_connect_refused(self):
         with pytest.raises(TransportError, match="connect"):
