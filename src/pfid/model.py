@@ -12,6 +12,7 @@ transposed d x n layout.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,6 +39,17 @@ __all__ = [
 RMS_EPS = 1e-5
 GELU_C = 0.7978845608028654  # sqrt(2 / pi)
 GELU_A = 0.044715
+
+# Fixed glibc thresholds (mmap 32 MiB, trim 64 MiB) keep a layer's freed
+# temporaries in the heap for the next layer, instead of unmapping or
+# trimming them and faulting them back in on every token.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+except (OSError, AttributeError, TypeError):  # no mallopt to call
+    pass
 
 
 @dataclass(frozen=True)
@@ -197,10 +209,6 @@ def _feed_forward_block(lw: LayerWeights, x: np.ndarray, cache: list | None) -> 
     g, t = _gelu_with_tanh(u1)
     if cache is not None:
         cache += (x, inv, b, u1, g, t)
-    # Free what only the backward pass needs before the last product: held
-    # through it, the higher heap peak makes glibc trim and refault its heap
-    # on every layer at short contexts.
-    del inv, b, u1, t
     return g @ lw.w2
 
 

@@ -51,7 +51,7 @@ from .model import SamplingParams, TransformerModel, pipeline_generate, sample_n
 from .shard import Shard, ShardSpec, head_cache, head_forward, middle_forward, split, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord
-from .transport import CapturingTransport, TransportClosed, TransportError
+from .transport import CapturingTransport, TransportError
 
 __all__ = [
     "ProtocolError",
@@ -459,19 +459,22 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
 
 
 def serve_middle(middle: Shard, transport, config: PfidConfig) -> None:
-    """Serve requests on one connection until the peer closes it.
+    """Serve requests on one connection until the peer closes it, stays
+    silent past the transport's timeout or drops mid-frame; then close the
+    transport.
 
     Stateless between tokens: every request carries its own dimensions and
     step index, so independent sessions can interleave freely across
     connections. An in-process session (`run_local_sim` without a
     transport) calls the same request handler in its own thread instead.
     """
-    while True:
-        try:
-            data = transport.recv_bytes()
-        except TransportClosed:
-            return
-        transport.send_bytes(_handle_request(middle, config, data))
+    try:
+        while True:
+            transport.send_bytes(_handle_request(middle, config, transport.recv_bytes()))
+    except TransportError:
+        return
+    finally:
+        transport.close()
 
 
 def comm_bytes(trace: GenerationTrace, d: int) -> tuple[int, int]:

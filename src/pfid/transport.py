@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 MAX_FRAME_BYTES = 1 << 28  # reject absurd frame lengths before allocating
+IDLE_TIMEOUT_S = 60.0  # an accepted peer silent this long ends its session
 _LEN = struct.Struct("<I")
 
 
@@ -119,7 +120,8 @@ def connect_tcp(host: str, port: int, timeout: float = 30.0) -> SocketTransport:
 
 
 class TcpServer:
-    """Accept loop running one handler thread per connection."""
+    """Accept loop running one handler thread per connection; the connection
+    is closed when its handler returns."""
 
     def __init__(self, handler: Callable[[SocketTransport], None], host: str = "127.0.0.1",
                  port: int = 0):
@@ -138,10 +140,14 @@ class TcpServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return  # listener closed
-            t = threading.Thread(
-                target=self._handler, args=(SocketTransport(conn),), daemon=True
-            )
-            t.start()
+            conn.settimeout(IDLE_TIMEOUT_S)
+            threading.Thread(target=self._serve, args=(SocketTransport(conn),), daemon=True).start()
+
+    def _serve(self, transport: SocketTransport) -> None:
+        try:
+            self._handler(transport)
+        finally:
+            transport.close()
 
     def start(self) -> "TcpServer":
         self._thread = threading.Thread(target=self._loop, daemon=True)

@@ -1,3 +1,5 @@
+import queue
+import socket
 import struct
 import threading
 import warnings
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfid.protocol
+import pfid.transport
 from pfid.adversary import AdversaryMode, eavesdrop_generate, remnant_generate
 from pfid.linalg import truncated_svd
 from pfid.model import ModelConfig, SamplingParams, init_model
@@ -210,6 +213,49 @@ def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
     assert (refused.role, refused.error_code, refused.step) == (ROLE_ERROR, 5, 0)
     assert (truncated.role, truncated.error_code, truncated.step) == (ROLE_ERROR, 5, 1)
     assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 2, d, 5)
+
+
+def test_serve_middle_closes_its_end_when_the_session_ends(tiny_model):
+    config = PfidConfig()
+    client_end, server_end = InMemoryTransport.pair()
+    server = threading.Thread(
+        target=serve_middle, args=(split(tiny_model, config.spec).middle(), server_end, config)
+    )
+    server.start()
+    client_end.close()
+    server.join(timeout=10)
+    assert not server.is_alive()
+    assert server_end._sock.fileno() == -1
+
+
+@pytest.mark.parametrize("idle_timeout_s,peer_sends,peer_closes", [
+    (0.2, b"", False),  # silent: the idle timeout ends it
+    (None, struct.pack("<I", 100) + b"x" * 10, True),  # drops mid-frame
+], ids=["silent", "half_frame"])
+def test_a_silent_or_broken_peer_ends_its_session(tiny_model, monkeypatch, idle_timeout_s,
+                                                  peer_sends, peer_closes):
+    if idle_timeout_s is not None:
+        monkeypatch.setattr(pfid.transport, "IDLE_TIMEOUT_S", idle_timeout_s)
+    config = PfidConfig()
+    middle = split(tiny_model, config.spec).middle()
+    ended = queue.Queue()
+
+    def handler(t):
+        try:
+            serve_middle(middle, t, config)
+            ended.put(None)
+        except Exception as e:
+            ended.put(e)
+
+    server = TcpServer(handler).start()
+    try:
+        with socket.create_connection((server.host, server.port)) as peer:
+            peer.sendall(peer_sends)
+            if peer_closes:
+                peer.close()
+            assert ended.get(timeout=2) is None
+    finally:
+        server.stop()
 
 
 def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):

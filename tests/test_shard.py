@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,21 @@ class TestHeadCache:
             with pytest.raises(ValueError):
                 head_forward(s, tokens, cache)
         assert np.array_equal(head_forward(s, [1, 2, 3, 4], cache)[:3], first)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_decoder_layers_reuse_their_heap(tiny_model):
+    """pfid fixes glibc's malloc thresholds at import, so the freed
+    temporaries of one call stay in the heap for the next instead of being
+    unmapped or trimmed and faulted back in."""
+    import resource
+
+    sharded = split(tiny_model, ShardSpec(3, 5))
+    middle, client = sharded.middle(), sharded.client()
+    h = np.random.default_rng(0).standard_normal((127, tiny_model.config.d_model))
+    for _ in range(2):
+        tail_forward(client, middle_forward(middle, h))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        tail_forward(client, middle_forward(middle, h))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 16

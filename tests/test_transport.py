@@ -1,3 +1,4 @@
+import queue
 import threading
 import time
 
@@ -20,17 +21,22 @@ class TestInMemory:
         assert b.recv_bytes() == b"hello"
         b.send_bytes(b"world")
         assert a.recv_bytes() == b"world"
+        a.close()
+        b.close()
 
     def test_close_signals_peer(self):
         a, b = InMemoryTransport.pair()
         a.close()
         with pytest.raises(TransportClosed):
             b.recv_bytes()
+        b.close()
 
     def test_timeout(self):
-        a, _ = InMemoryTransport.pair(timeout=0.05)
+        a, b = InMemoryTransport.pair(timeout=0.05)
         with pytest.raises(TransportError, match="timed out"):
             a.recv_bytes()
+        a.close()
+        b.close()
 
 
 class TestSocket:
@@ -58,6 +64,29 @@ class TestSocket:
             client = connect_tcp(server.host, server.port)
             with pytest.raises(TransportClosed):
                 client.recv_bytes()
+            client.close()
+        finally:
+            server.stop()
+
+    def test_the_server_end_is_closed_after_its_handler_returns(self):
+        ends = queue.Queue()
+
+        def handler(t):
+            ends.put(t)
+            try:
+                t.recv_bytes()
+            except TransportClosed:
+                pass
+
+        server = TcpServer(handler).start()
+        try:
+            client = connect_tcp(server.host, server.port)
+            server_end = ends.get(timeout=5)
+            client.close()
+            deadline = time.monotonic() + 5
+            while server_end._sock.fileno() != -1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server_end._sock.fileno() == -1
         finally:
             server.stop()
 
@@ -87,4 +116,6 @@ def test_capture_tees_both_directions():
     tee.send_bytes(b"ping")
     assert tee.recv_bytes() == b"ping!"
     t.join()
+    tee.close()
+    b.close()
     assert capture == [b"ping", b"ping!"]
