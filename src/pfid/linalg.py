@@ -83,16 +83,12 @@ class TruncatedFactors:
 
 def _fix_signs(u: Matrix, v: Matrix) -> tuple[Matrix, Matrix]:
     # Canonical sign: first nonzero entry of each u column made nonnegative,
-    # so factor outputs are comparable across runs and implementations.
-    u = u.copy()
-    v = v.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    return u, v
+    # so factor outputs are comparable across runs and implementations. An
+    # all-zero column keeps its sign (argmax finds no nonzero and reads 0).
+    # Both come back in C order, as copies of the column-sliced u and the
+    # transposed v would.
+    flip = u[np.argmax(u != 0, axis=0), np.arange(u.shape[1])] < 0
+    return np.where(flip, -u, u), np.ascontiguousarray(np.where(flip, -v, v))
 
 
 def truncated_svd(h: Matrix, k: int, seed: int) -> TruncatedFactors:

@@ -8,6 +8,15 @@ Hidden states are n x d matrices (positions x features), one row per
 sequence position, in and out of every function here; training runs the
 same layer on B x T x d. Only the packet codec in `protocol` uses the
 transposed d x n layout.
+
+The decoder layer's elementwise kernels (RMS scale, causal softmax, GELU)
+work in place on their own temporaries, and the causal softmax leaves the
+masked scores out of its row max and exp. Results are still bit for bit
+those of the plain out-of-place expressions (`tests/reference.py` keeps
+them): each element goes through the same IEEE operations on the same
+operands in the same order, every sum reduces the same full row, and what
+is left out has a result known exactly: a masked score is -inf, which is
+never a row max and whose exp is 0.
 """
 
 from __future__ import annotations
@@ -160,13 +169,27 @@ def init_model(config: ModelConfig) -> TransformerModel:
 
 
 def _rms_scale(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+    # 1 / sqrt(mean(x * x) + eps), the mean as np.mean computes it: a sum,
+    # then a division by the count
+    r = np.add.reduce(x * x, axis=-1, keepdims=True)
+    r /= x.shape[-1]
+    r += RMS_EPS
+    np.sqrt(r, out=r)
+    return np.divide(1.0, r, out=r)
 
 
 def _gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # tanh approximation; x*x instead of x**2 to stay on the fast ufunc path
-    t = np.tanh(GELU_C * x * (1.0 + GELU_A * (x * x)))
-    return 0.5 * x * (1.0 + t), t
+    # tanh(GELU_C * x * (1 + GELU_A * x * x)) and 0.5 * x * (1 + tanh), in
+    # that operation order; x*x instead of x**2 to stay on the fast ufunc path
+    t = x * x
+    t *= GELU_A
+    t += 1.0
+    g = GELU_C * x
+    t *= g
+    np.tanh(t, out=t)
+    np.multiply(0.5, x, out=g)
+    g *= 1.0 + t
+    return g, t
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -182,7 +205,8 @@ def _attention_block(
     *lead, t_len, d = x.shape
     dh = d // n_heads
     inv = _rms_scale(x)
-    a = x * inv * lw.g_attn
+    a = x * inv
+    a *= lw.g_attn
     q, k, v = (
         (rows @ w).reshape(*lead, -1, n_heads, dh).swapaxes(-3, -2)
         for rows, w in ((a[..., t_len - q_rows:, :], lw.wq), (a, lw.wk), (a, lw.wv))
@@ -192,10 +216,18 @@ def _attention_block(
         keys[:, start:start + t_len] = k
         values[:, start:start + t_len] = v
         k, v = keys[:, :start + t_len], values[:, :start + t_len]
-    # Query row i is position kv_len - q_rows + i and sees the positions up to its own.
+    # Query row i is position kv_len - q_rows + i and sees the positions up to
+    # its own. p is the softmax of rows whose masked scores are -inf: the row
+    # max skips the masked scores, and exp runs on the seen ones only, into
+    # zeros, the exact exp(-inf) of the masked ones.
     kv_len = k.shape[-2]
-    mask = np.triu(np.ones((q_rows, kv_len), dtype=bool), k=kv_len - q_rows + 1)
-    p = _softmax_rows(np.where(mask, -np.inf, q @ k.swapaxes(-1, -2) / np.sqrt(dh)))
+    seen = np.tri(q_rows, kv_len, kv_len - q_rows, dtype=bool)
+    z = q @ k.swapaxes(-1, -2)
+    z /= np.sqrt(dh)
+    z -= z.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
+    p = np.zeros_like(z)
+    np.exp(z, out=p, where=seen)
+    p /= p.sum(axis=-1, keepdims=True)
     attn = (p @ v).swapaxes(-3, -2).reshape(*lead, q_rows, d)
     if cache is not None:
         cache += (x, inv, a, q, k, v, p, attn)
@@ -204,7 +236,8 @@ def _attention_block(
 
 def _feed_forward_block(lw: LayerWeights, x: np.ndarray, cache: list | None) -> np.ndarray:
     inv = _rms_scale(x)
-    b = x * inv * lw.g_ff
+    b = x * inv
+    b *= lw.g_ff
     u1 = b @ lw.w1
     g, t = _gelu_with_tanh(u1)
     if cache is not None:
@@ -238,8 +271,11 @@ def layer_forward(
     """
     t_len = x.shape[-2]
     q_rows = t_len if q_rows is None else q_rows
-    x = x[..., t_len - q_rows:, :] + _attention_block(lw, x, n_heads, cache, past, q_rows)
-    return x + _feed_forward_block(lw, x, cache)
+    h = _attention_block(lw, x, n_heads, cache, past, q_rows)
+    h += x[..., t_len - q_rows:, :]
+    out = _feed_forward_block(lw, h, cache)
+    out += h
+    return out
 
 
 def _check_hidden(model: TransformerModel, h: Matrix, name: str) -> Matrix:

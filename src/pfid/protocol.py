@@ -312,13 +312,14 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
         raise LengthMismatchError(
             f"factor payload is {len(payload)} bytes, expected {expect} for d={d} n={n} k={k}"
         )
-    u_end = 4 * d * k
-    s_end = u_end + 4 * k
-    u = np.frombuffer(payload[:u_end], dtype="<f4").astype(np.float64).reshape(d, k)
-    s = np.frombuffer(payload[u_end:s_end], dtype="<f4").astype(np.float64)
-    v = np.frombuffer(payload[s_end:], dtype="<f4").astype(np.float64).reshape(n, k)
-    if not (np.isfinite(u).all() and np.isfinite(s).all() and np.isfinite(v).all()):
+    words = np.frombuffer(payload, dtype="<f4")
+    # Checked before the cast: casting a signalling NaN raises a warning.
+    if not np.isfinite(words).all():
         raise FieldError("factor payload contains non-finite values")
+    values = words.astype(np.float64)
+    u = values[:d * k].reshape(d, k)
+    s = values[d * k:(d + 1) * k]
+    v = values[(d + 1) * k:].reshape(n, k)
     try:
         factors = TruncatedFactors(u=u, s=s, v=v, orig_rows=d, orig_cols=n, k=k)
     except ValueError as e:

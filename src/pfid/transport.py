@@ -11,6 +11,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 from typing import Callable
 
 __all__ = [
@@ -24,7 +25,7 @@ __all__ = [
 ]
 
 MAX_FRAME_BYTES = 1 << 28  # reject absurd frame lengths before allocating
-IDLE_TIMEOUT_S = 60.0  # an accepted peer silent this long ends its session
+IDLE_TIMEOUT_S = 60.0  # an accepted peer this long in sending a frame ends its session
 _LEN = struct.Struct("<I")
 
 
@@ -48,10 +49,15 @@ class SocketTransport:
         except OSError as e:
             raise TransportError(f"socket send failed: {e}") from e
 
-    def _recv_exact(self, count: int) -> bytes:
+    def _recv_exact(self, count: int, deadline: float | None) -> bytes:
         chunks = []
         while count:
             try:
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError("timed out")
+                    self._sock.settimeout(remaining)
                 chunk = self._sock.recv(min(count, 1 << 20))
             except OSError as e:
                 raise TransportError(f"socket recv failed: {e}") from e
@@ -64,10 +70,18 @@ class SocketTransport:
         return b"".join(chunks)
 
     def recv_bytes(self) -> bytes:
-        (length,) = _LEN.unpack(self._recv_exact(4))
-        if length > MAX_FRAME_BYTES:
-            raise TransportError(f"frame length {length} exceeds limit {MAX_FRAME_BYTES}")
-        return self._recv_exact(length) if length else b""
+        """Receive one frame. The socket's timeout bounds the whole frame,
+        from this call to its last byte, not each read of it."""
+        timeout = self._sock.gettimeout()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            (length,) = _LEN.unpack(self._recv_exact(4, deadline))
+            if length > MAX_FRAME_BYTES:
+                raise TransportError(f"frame length {length} exceeds limit {MAX_FRAME_BYTES}")
+            return self._recv_exact(length, deadline) if length else b""
+        finally:
+            if timeout is not None and self._sock.fileno() != -1:
+                self._sock.settimeout(timeout)
 
     def close(self) -> None:
         try:

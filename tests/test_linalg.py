@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pfid.linalg import (
     TruncatedFactors,
+    _fix_signs,
     ratio_to_rank,
     reconstruct,
     truncated_svd,
@@ -118,6 +119,46 @@ class TestTruncatedSvd:
             for k in range(1, 13)
         ]
         assert all(errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1))
+
+
+def fix_signs_loop(u, v):
+    """The column-by-column sign canonicalization `_fix_signs` vectorizes."""
+    u = u.copy()
+    v = v.copy()
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, j] = -col
+            v[:, j] = -v[:, j]
+    return u, v
+
+
+def test_fix_signs_equals_the_column_loop_bitwise():
+    """Leading zeros and negative zeros are skipped to the first nonzero
+    entry, and an all-zero column keeps its sign; u arrives column-sliced
+    and v transposed, as truncated_svd hands them over."""
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((6, 8))
+    u[:2, 0] = 0.0         # leading zeros, then a positive or negative entry
+    u[:3, 1] = -0.0        # leading negative zeros
+    u[2, 0], u[3, 1] = -1.5, 2.5
+    u[:, 2] = 0.0          # all zero
+    u[:, 3] = -0.0         # all negative zero
+    u[0, 4] = -0.0
+    u[1, 4] = -3.0
+    vt = rng.standard_normal((8, 9))
+    vt[:, 5] = -0.0
+    u_in, v_in = u[:, :7], vt[:7].T
+    for got, want in zip(_fix_signs(u_in, v_in), fix_signs_loop(u_in, v_in)):
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for seed in range(5):
+        h = np.random.default_rng(seed).standard_normal((12, 9))
+        u, _, vt = np.linalg.svd(h, full_matrices=False)
+        for got, want in zip(_fix_signs(u[:, :4], vt[:4].T),
+                             fix_signs_loop(u[:, :4], vt[:4].T)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestReconstruct:

@@ -8,13 +8,14 @@ from pfid.model import (
     filtered_distribution,
     forward_layers,
     init_model,
+    kv_buffers,
     layer_forward,
     logits,
     pipeline_generate,
     sample_next,
 )
 from pfid.model import RMS_EPS
-from reference import reference_pipeline
+from reference import reference_layer_forward, reference_pipeline
 
 
 def small_config(**kw):
@@ -136,6 +137,57 @@ class TestForward:
         for r in (0, 6):
             with pytest.raises(ValueError, match="q_rows"):
                 forward_layers(m, 0, 3, h, q_rows=r)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLayerKernels:
+    """layer_forward's in-place kernels against the out-of-place reference
+    layer, bit for bit, at d_head 8 (sqrt not a power of two) and 16."""
+
+    CONFIGS = [small_config(), ModelConfig(seed=7)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
+    @pytest.mark.parametrize("q_rows", [None, 1, 3])
+    def test_n_by_d(self, config, q_rows):
+        lw = init_model(config).layers[1]
+        for n in (1, 5, config.max_seq - 1):
+            if q_rows is not None and q_rows > n:
+                continue
+            x = 3 * np.random.default_rng(n).standard_normal((n, config.d_model))
+            assert_bitwise(layer_forward(lw, x, config.n_heads, q_rows=q_rows),
+                           reference_layer_forward(lw, x, config.n_heads, q_rows=q_rows))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
+    def test_with_past_keys_and_values(self, config):
+        """Five rows, then three more that attend to the cached five, the
+        last layer of a range computing only its final row."""
+        lw = init_model(config).layers[0]
+        x = 3 * np.random.default_rng(1).standard_normal((8, config.d_model))
+        got_kv, want_kv = kv_buffers(config, 1), kv_buffers(config, 1)
+        for start, stop, q_rows in ((0, 5, None), (5, 8, 1)):
+            got = layer_forward(lw, x[start:stop], config.n_heads,
+                                past=(got_kv[0][0], got_kv[1][0], start), q_rows=q_rows)
+            want = reference_layer_forward(lw, x[start:stop], config.n_heads,
+                                           past=(want_kv[0][0], want_kv[1][0], start),
+                                           q_rows=q_rows)
+            assert_bitwise(got, want)
+        for g, w in zip(got_kv, want_kv):
+            assert_bitwise(g[:, :, :8], w[:, :, :8])
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
+    def test_batch_and_the_14_cached_intermediates(self, config):
+        lw = init_model(config).layers[2]
+        x = 3 * np.random.default_rng(2).standard_normal((3, 11, config.d_model))
+        got_cache, want_cache = [], []
+        assert_bitwise(layer_forward(lw, x, config.n_heads, got_cache),
+                       reference_layer_forward(lw, x, config.n_heads, want_cache))
+        assert len(got_cache) == len(want_cache) == 14
+        for got, want in zip(got_cache, want_cache):
+            assert_bitwise(got, want)
 
 
 class TestEmbed:

@@ -2,6 +2,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from pfid.protocol import (
     ROLE_HEAD_FACTORS,
     ROLE_HEAD_RAW,
     ROLE_MID_FACTORS,
+    FieldError,
     PfidConfig,
     ProtocolError,
     _handle_request,
@@ -258,6 +260,35 @@ def test_a_silent_or_broken_peer_ends_its_session(tiny_model, monkeypatch, idle_
         server.stop()
 
 
+def test_a_peer_trickling_a_frame_ends_its_session(tiny_model, monkeypatch):
+    """The idle timeout bounds a whole frame, not each read: a peer that
+    announces 1,000 bytes and sends one every 0.1 s is cut off at the 0.2 s
+    timeout, though no single read waits that long."""
+    monkeypatch.setattr(pfid.transport, "IDLE_TIMEOUT_S", 0.2)
+    config = PfidConfig()
+    middle = split(tiny_model, config.spec).middle()
+    ended = queue.Queue()
+
+    def handler(t):
+        serve_middle(middle, t, config)
+        ended.put(time.monotonic())
+
+    server = TcpServer(handler).start()
+    try:
+        with socket.create_connection((server.host, server.port)) as peer:
+            start = time.monotonic()
+            peer.sendall(struct.pack("<I", 1000))
+            while ended.empty() and time.monotonic() - start < 1.0:
+                time.sleep(0.1)
+                try:
+                    peer.sendall(b"x")
+                except OSError:
+                    break  # the server end is already closed
+            assert ended.get(timeout=0.5) - start < 1.0
+    finally:
+        server.stop()
+
+
 def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):
     """Sampled decoding, so a replay that drew from an unseeded generator
     would differ."""
@@ -340,6 +371,22 @@ def test_a_raw_request_beyond_the_binary32_range_is_refused_before_the_middle():
         reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG,
                                               encode_raw_packet(h, ROLE_HEAD_RAW, 3)))
     assert (reply.role, reply.error_code, reply.step) == (ROLE_ERROR, 4, 3)
+
+
+@pytest.mark.parametrize("part", ["u", "s", "v"])
+@pytest.mark.parametrize("word", [0x7F800001, 0xFFA00000, 0x7F800000], ids=["snan", "neg_snan", "inf"])
+def test_a_non_finite_factor_word_is_a_field_error_without_a_warning(part, word):
+    """A signalling NaN warns when cast to float64, so finiteness is checked
+    on the binary32 words before the cast."""
+    f = truncated_svd(_H, 2, seed=0)
+    d, n, k = f.orig_rows, f.orig_cols, f.k
+    at = {"u": 0, "s": d * k, "v": (d + 1) * k + n * k - 1}[part]
+    data = bytearray(encode_packet(f, ROLE_HEAD_FACTORS, 3))
+    data[PKT_HEADER_BYTES + 4 * at:PKT_HEADER_BYTES + 4 * at + 4] = struct.pack("<I", word)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError, match="non-finite"):
+            decode_packet(bytes(data))
 
 
 @given(mutated_packets())

@@ -1,0 +1,112 @@
+"""Compare pfid's outputs bit for bit between this checkout and another.
+
+    python3 tools/bitwise_check.py OTHER_SRC
+
+runs one fixed set of sessions, training steps and gradients twice, each in
+a fresh interpreter with one BLAS thread: once on this checkout's `src/` and
+once on OTHER_SRC, the `src/` directory of another checkout (for example the
+parent commit's). It prints the SHA-256 of every output on both sides and
+exits with status 1 when any of them differ. There is no tolerance.
+
+The outputs are, for 4 prompt lengths x 4 settings (sampled, greedy,
+dense-SVD and bypass), on the untrained `ModelConfig(seed=7)`:
+the captured wire bytes; every step's token and logits for the local client,
+the pipeline baseline, both eavesdroppers and the remnant decoder. Then
+`loss_and_grads` on a 12 x 32 batch, and the losses and final weights of
+5 `train` steps.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _trace_digest(trace) -> str:
+    return _digest([s.token_id for s in trace.steps], *[s.logits for s in trace.steps])
+
+
+def dump() -> dict[str, str]:
+    from pfid.adversary import remnant_generate
+    from pfid.corpus import build_corpus
+    from pfid.model import ModelConfig, SamplingParams, init_model
+    from pfid.protocol import PfidConfig, run_local_sim
+    from pfid.shard import split
+    from pfid.tokenizer import ascii96
+    from pfid.training import _sample_windows, loss_and_grads, train
+
+    model = init_model(ModelConfig(seed=7))
+    tok = ascii96()
+    corpus = build_corpus()
+    settings = {
+        "sampled": PfidConfig(sampling=SamplingParams(max_new_tokens=28, seed=3)),
+        "greedy": PfidConfig(sampling=SamplingParams(max_new_tokens=28, greedy=True)),
+        "dense_svd": PfidConfig(phead=0.1, ptail=0.1,
+                                sampling=SamplingParams(max_new_tokens=28, greedy=True)),
+        "bypass": PfidConfig(omega=0.0, phead=0.0, ptail=0.0,
+                             sampling=SamplingParams(max_new_tokens=28, seed=3)),
+    }
+    out = {}
+    for n in (8, 24, 64, 100):
+        prompt = corpus[1000 + n:1000 + 2 * n]
+        for name, config in settings.items():
+            sim = run_local_sim(model, tok, config, prompt)
+            key = f"n{n}.{name}"
+            out[f"{key}.capture"] = hashlib.sha256(b"".join(sim.capture)).hexdigest()
+            out[f"{key}.local"] = _trace_digest(sim.local)
+            out[f"{key}.pipeline"] = _trace_digest(sim.pipeline)
+            for mode, trace in sorted(sim.eavesdroppers.items()):
+                out[f"{key}.eavesdrop.{mode}"] = _trace_digest(trace)
+            remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tok)
+            out[f"{key}.remnant"] = _trace_digest(remnant)
+
+    ids = np.asarray(tok.encode(corpus), dtype=np.int64)
+    inputs, targets = _sample_windows(ids, 12, 32, np.random.default_rng(11))
+    loss, grads = loss_and_grads(model, inputs, targets)
+    out["loss_and_grads"] = _digest(loss, *[grads[k] for k in sorted(grads)])
+    result = train(model, corpus, steps=5, seed=5, log_every=1)
+    params = result.model.param_tensors()
+    out["train5"] = _digest(result.losses, *[params[k] for k in sorted(params)])
+    return out
+
+
+def _run(src: str) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, __file__, "--dump"], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--dump"]:
+        print(json.dumps(dump()))
+        return 0
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    here = _run(str(Path(__file__).resolve().parents[1] / "src"))
+    other = _run(str(Path(sys.argv[1]).resolve()))
+    differ = sorted(k for k in here.keys() | other.keys() if here.get(k) != other.get(k))
+    for key in sorted(here.keys() | other.keys()):
+        mark = "DIFFERS" if key in differ else "same"
+        print(f"{key:40s} {here.get(key, '-')[:16]} {other.get(key, '-')[:16]} {mark}")
+    print(f"{len(differ)} of {len(here.keys() | other.keys())} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
