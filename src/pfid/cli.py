@@ -38,7 +38,8 @@ from .corpus import build_corpus, heldout_prompts
 from .linalg import ratio_to_rank
 from .metrics import build_eval_report, spectra_report
 from .model import ModelConfig, init_model, pipeline_generate
-from .protocol import PfidConfig, ProtocolError, packet_bytes_for, run_local_sim, serve_middle
+from .protocol import (PfidConfig, ProtocolError, max_request_bytes, packet_bytes_for,
+                       run_local_sim, serve_middle)
 from .shard import ShardSpec, split
 from .tokenizer import ascii96
 from .training import train
@@ -172,7 +173,8 @@ def cmd_serve(args) -> int:
         middle = split(ckpt.load_model(args.checkpoint), config.spec).middle()
     else:
         raise ConfigError("serve needs a middle export or a full checkpoint")
-    server = TcpServer(lambda t: serve_middle(middle, t, config), host=args.host, port=args.port)
+    server = TcpServer(lambda t: serve_middle(middle, t, config), host=args.host, port=args.port,
+                       max_frame=max_request_bytes(middle.config))
     print(f"serving middle shard on {server.host}:{server.port}")
     try:
         server.serve_forever()

@@ -5,7 +5,8 @@ the hidden state by SVD, and ships the factors; the server reconstructs,
 runs the middle, truncates again, and ships back; the client reconstructs,
 re-privatizes with its retained full head output (H' = H_mid_hat +
 omega * H_head), runs the tail and samples. The full prefix matrix is
-re-truncated every step.
+re-truncated every step, by the exact rank-k SVD. That SVD draws no random
+numbers, so in-memory and TCP sessions give the same trace bit for bit.
 
 The head sees exact tokens, so its output rows for a prefix never change:
 the client keeps a per-session head cache and computes only the new
@@ -47,7 +48,7 @@ from .linalg import (
     reconstruct,
     truncated_svd,
 )
-from .model import SamplingParams, TransformerModel, pipeline_generate, sample_next
+from .model import ModelConfig, SamplingParams, TransformerModel, pipeline_generate, sample_next
 from .shard import Shard, ShardSpec, head_cache, head_forward, middle_forward, split, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord
@@ -83,6 +84,7 @@ __all__ = [
     "run_local_sim",
     "comm_bytes",
     "packet_bytes_for",
+    "max_request_bytes",
 ]
 
 PKT_MAGIC = b"PFIDPKT1"
@@ -109,6 +111,9 @@ ERR_INTERNAL = 6
 
 _NO_STEP = 0xFFFFFFFF
 _F32_MAX = float(np.finfo(np.float32).max)
+# Bound on |F^T F - I|_F / k for a decoded factor F. Orthonormal columns
+# rounded to binary32 stay near 1e-7; larger errors were not sent by an SVD.
+ORTHONORMALITY_TOL = 1e-4
 
 
 class ProtocolError(Exception):
@@ -324,12 +329,23 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
         factors = TruncatedFactors(u=u, s=s, v=v, orig_rows=d, orig_cols=n, k=k)
     except ValueError as e:
         raise FieldError(f"factor payload violates invariants: {e}") from e
+    eye = np.eye(k)
+    for mat, label in ((u, "u"), (v, "v")):
+        gram_err = np.linalg.norm(mat.T @ mat - eye)
+        if gram_err > ORTHONORMALITY_TOL * k:
+            raise FieldError(f"{label} columns not orthonormal (|g - I|_F = {gram_err:.2e})")
     return Packet(role=role, step=step, d=d, n=n, k=k, factors=factors)
 
 
 def packet_bytes_for(d: int, n: int, k: int) -> int:
     """Exact factor-packet size: header + 4*k*(d+n+1)."""
     return PKT_HEADER_BYTES + 4 * k * (d + n + 1)
+
+
+def max_request_bytes(cfg: ModelConfig) -> int:
+    """Largest request a server of this model accepts: a raw head packet of
+    max_seq positions. Every legal factor packet is smaller."""
+    return PKT_HEADER_BYTES + 8 * cfg.d_model * cfg.max_seq
 
 
 def reprivatize(h_mid_hat: Matrix, h_head: Matrix, omega: float) -> Matrix:
@@ -341,19 +357,7 @@ def reprivatize(h_mid_hat: Matrix, h_head: Matrix, omega: float) -> Matrix:
     return h_mid_hat + omega * h_head
 
 
-# Deterministic per-step seeds keep sim and socket runs bit-identical:
-# client-side SVD uses 2*step, server-side SVD 2*step + 1.
-def _client_svd_seed(step: int) -> int:
-    return 2 * step
-
-
-def _server_svd_seed(step: int) -> int:
-    return 2 * step + 1
-
-
-def _encode_hidden(
-    h: Matrix, ratio: float, roles: tuple[int, int], step: int, seed: int
-) -> tuple[bytes, int]:
+def _encode_hidden(h: Matrix, ratio: float, roles: tuple[int, int], step: int) -> tuple[bytes, int]:
     """Packet of an n x d hidden state and its kept rank: the d x n
     transpose as rank-k factors with roles[0], or raw with roles[1] (k = 0)
     when the truncation ratio is zero."""
@@ -362,7 +366,7 @@ def _encode_hidden(
     if ratio == 0.0:
         return encode_raw_packet(wire, raw_role, step), 0
     k = ratio_to_rank(ratio, *wire.shape)
-    return encode_packet(truncated_svd(wire, k, seed=seed), factor_role, step), k
+    return encode_packet(truncated_svd(wire, k), factor_role, step), k
 
 
 def client_generate(
@@ -391,9 +395,7 @@ def client_generate(
         h_head = head_forward(client, tokens, cache)
         n, d = h_head.shape
 
-        request, k_h = _encode_hidden(
-            h_head, config.phead, HEAD_ROLES, step, _client_svd_seed(step)
-        )
+        request, k_h = _encode_hidden(h_head, config.phead, HEAD_ROLES, step)
         try:
             transport.send_bytes(request)
             reply_bytes = transport.recv_bytes()
@@ -454,7 +456,7 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
 
     try:
         h_mid = middle_forward(middle, pkt.hidden())
-        return _encode_hidden(h_mid, config.ptail, MID_ROLES, step, _server_svd_seed(step))[0]
+        return _encode_hidden(h_mid, config.ptail, MID_ROLES, step)[0]
     except Exception as e:  # never crash the serving loop on one request
         return encode_error_packet(ERR_INTERNAL, step, f"server failure: {e}")
 

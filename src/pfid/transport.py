@@ -38,10 +38,13 @@ class TransportClosed(TransportError):
 
 
 class SocketTransport:
-    """Length-prefixed frames over a connected stream socket."""
+    """Length-prefixed frames over a connected stream socket. A received
+    length prefix above max_frame ends the transfer before any of the body
+    is read."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, max_frame: int = MAX_FRAME_BYTES):
         self._sock = sock
+        self._max_frame = max_frame
 
     def send_bytes(self, data: bytes) -> None:
         try:
@@ -76,8 +79,8 @@ class SocketTransport:
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
             (length,) = _LEN.unpack(self._recv_exact(4, deadline))
-            if length > MAX_FRAME_BYTES:
-                raise TransportError(f"frame length {length} exceeds limit {MAX_FRAME_BYTES}")
+            if length > self._max_frame:
+                raise TransportError(f"frame length {length} exceeds limit {self._max_frame}")
             return self._recv_exact(length, deadline) if length else b""
         finally:
             if timeout is not None and self._sock.fileno() != -1:
@@ -135,11 +138,13 @@ def connect_tcp(host: str, port: int, timeout: float = 30.0) -> SocketTransport:
 
 class TcpServer:
     """Accept loop running one handler thread per connection; the connection
-    is closed when its handler returns."""
+    is closed when its handler returns. Accepted connections refuse frames
+    longer than max_frame."""
 
     def __init__(self, handler: Callable[[SocketTransport], None], host: str = "127.0.0.1",
-                 port: int = 0):
+                 port: int = 0, max_frame: int = MAX_FRAME_BYTES):
         self._handler = handler
+        self._max_frame = max_frame
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -155,7 +160,8 @@ class TcpServer:
             except OSError:
                 return  # listener closed
             conn.settimeout(IDLE_TIMEOUT_S)
-            threading.Thread(target=self._serve, args=(SocketTransport(conn),), daemon=True).start()
+            transport = SocketTransport(conn, self._max_frame)
+            threading.Thread(target=self._serve, args=(transport,), daemon=True).start()
 
     def _serve(self, transport: SocketTransport) -> None:
         try:

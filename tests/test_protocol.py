@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pfid.protocol
 import pfid.transport
 from pfid.adversary import AdversaryMode, eavesdrop_generate, remnant_generate
-from pfid.linalg import truncated_svd
+from pfid.linalg import TruncatedFactors, truncated_svd
 from pfid.model import ModelConfig, SamplingParams, init_model
 from pfid.protocol import (
     MID_ROLES,
@@ -26,6 +26,7 @@ from pfid.protocol import (
     PfidConfig,
     ProtocolError,
     _handle_request,
+    max_request_bytes,
     client_generate,
     decode_packet,
     encode_error_packet,
@@ -193,7 +194,7 @@ def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
     rng = np.random.default_rng(0)
 
     def head_packet(n, step):
-        factors = truncated_svd(rng.standard_normal((d, n)), 1, seed=0)
+        factors = truncated_svd(rng.standard_normal((d, n)), 1)
         return encode_packet(factors, ROLE_HEAD_FACTORS, step)
 
     client_end, server_end = InMemoryTransport.pair()
@@ -289,6 +290,41 @@ def test_a_peer_trickling_a_frame_ends_its_session(tiny_model, monkeypatch):
         server.stop()
 
 
+def test_an_oversize_frame_prefix_ends_the_session_before_its_body(tiny_model):
+    """`pfid serve`'s frame limit is the served model's largest request: a
+    raw head packet of max_seq positions. A length prefix one byte over it
+    ends the session at once, with no body sent; a request of exactly the
+    limit on a fresh connection is still served."""
+    config = PfidConfig()
+    cfg = tiny_model.config
+    limit = max_request_bytes(cfg)
+    assert limit == PKT_HEADER_BYTES + 8 * cfg.d_model * cfg.max_seq == 65_568
+    middle = split(tiny_model, config.spec).middle()
+    ended = queue.Queue()
+
+    def handler(t):
+        serve_middle(middle, t, config)
+        ended.put(None)
+
+    server = TcpServer(handler, max_frame=limit).start()
+    try:
+        with socket.create_connection((server.host, server.port), timeout=5) as peer:
+            peer.sendall(struct.pack("<I", limit + 1))
+            ended.get(timeout=2)
+            assert peer.recv(1) == b""
+        largest = encode_raw_packet(np.ones((cfg.d_model, cfg.max_seq)), ROLE_HEAD_RAW, 0)
+        assert len(largest) == limit
+        client = connect_tcp(server.host, server.port, timeout=10)
+        try:
+            client.send_bytes(largest)
+            reply = decode_packet(client.recv_bytes())
+        finally:
+            client.close()
+        assert (reply.role, reply.n) == (ROLE_MID_FACTORS, cfg.max_seq)
+    finally:
+        server.stop()
+
+
 def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):
     """Sampled decoding, so a replay that drew from an unseeded generator
     would differ."""
@@ -317,8 +353,8 @@ FUZZ_MIDDLE = split(FUZZ_MODEL, FUZZ_CONFIG.spec).middle()
 
 _H = np.random.default_rng(0).standard_normal((8, 5))
 VALID_PACKETS = [
-    encode_packet(truncated_svd(_H, 2, seed=0), ROLE_HEAD_FACTORS, 3),
-    encode_packet(truncated_svd(_H, 2, seed=0), ROLE_MID_FACTORS, 3),
+    encode_packet(truncated_svd(_H, 2), ROLE_HEAD_FACTORS, 3),
+    encode_packet(truncated_svd(_H, 2), ROLE_MID_FACTORS, 3),
     encode_raw_packet(_H, ROLE_HEAD_RAW, 3),
     encode_error_packet(4, 3, "bad fields"),
 ]
@@ -378,7 +414,7 @@ def test_a_raw_request_beyond_the_binary32_range_is_refused_before_the_middle():
 def test_a_non_finite_factor_word_is_a_field_error_without_a_warning(part, word):
     """A signalling NaN warns when cast to float64, so finiteness is checked
     on the binary32 words before the cast."""
-    f = truncated_svd(_H, 2, seed=0)
+    f = truncated_svd(_H, 2)
     d, n, k = f.orig_rows, f.orig_cols, f.k
     at = {"u": 0, "s": d * k, "v": (d + 1) * k + n * k - 1}[part]
     data = bytearray(encode_packet(f, ROLE_HEAD_FACTORS, 3))
@@ -387,6 +423,30 @@ def test_a_non_finite_factor_word_is_a_field_error_without_a_warning(part, word)
         warnings.simplefilter("error")
         with pytest.raises(FieldError, match="non-finite"):
             decode_packet(bytes(data))
+
+
+def test_a_non_orthonormal_factor_packet_is_a_field_error():
+    """Orthonormality is checked where factors arrive from outside: a packet
+    whose u columns are not orthonormal is refused by decode_packet, and
+    the server answers it with an ERR_FIELDS reply."""
+    f = TruncatedFactors(u=np.ones((8, 2)), s=np.array([2.0, 1.0]), v=np.eye(5)[:, :2],
+                         orig_rows=8, orig_cols=5, k=2)
+    data = encode_packet(f, ROLE_HEAD_FACTORS, 3)
+    with pytest.raises(FieldError, match="u columns not orthonormal"):
+        decode_packet(data)
+    reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG, data))
+    assert (reply.role, reply.error_code, reply.step) == (ROLE_ERROR, 4, 3)
+
+
+def test_an_all_zero_raw_head_packet_gets_factors_back():
+    """The middle maps a zero state to exactly zero, which the SVD's LAPACK
+    fallback factors with zero singular values."""
+    h = np.zeros((8, 5))
+    reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG,
+                                          encode_raw_packet(h, ROLE_HEAD_RAW, 3)))
+    assert (reply.role, reply.step, reply.d, reply.n) == (ROLE_MID_FACTORS, 3, 8, 5)
+    assert np.array_equal(reply.factors.s, np.zeros(reply.k))
+    assert np.array_equal(reply.hidden(), np.zeros((5, 8)))
 
 
 @given(mutated_packets())
