@@ -72,7 +72,8 @@ class TruncatedFactors:
             raise ValueError(f"v has shape {v.shape}, expected ({self.orig_cols}, {self.k})")
         if s.shape != (self.k,):
             raise ValueError(f"s has shape {s.shape}, expected ({self.k},)")
-        if np.any(s < 0) or np.any(np.diff(s) > 0):
+        # NaN fails both comparisons, so it is rejected wherever it sits.
+        if not (s[-1] >= 0 and (s[:-1] >= s[1:]).all()):
             raise ValueError("singular values must be nonnegative and non-increasing")
 
 
@@ -127,8 +128,14 @@ def _gram_factors(h: Matrix, k: int) -> tuple[Matrix, np.ndarray, Matrix] | None
 
 
 def reconstruct(f: TruncatedFactors) -> Matrix:
-    """Rank-k approximation U diag(s) V^T with the original d x n shape."""
-    return (f.u * f.s) @ f.v.T
+    """Rank-k approximation U diag(s) V^T with the original d x n shape.
+
+    It is the transpose of the n x d product V (U diag(s))^T, so the n x d
+    hidden state transposed back from it is C-ordered without a copy. Both
+    products multiply the same pairs, and OpenBLAS sums them in the same
+    order: the bits equal (U diag(s)) V^T's (tests/test_linalg.py).
+    """
+    return (f.v @ (f.u * f.s).T).T
 
 
 def ratio_to_rank(p: float, d: int, n: int) -> int:

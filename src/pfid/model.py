@@ -17,6 +17,13 @@ them): each element goes through the same IEEE operations on the same
 operands in the same order, every sum reduces the same full row, and what
 is left out has a result known exactly: a masked score is -inf, which is
 never a row max and whose exp is 0.
+
+The softmax has two branches with the same bits. Several query rows take
+their mask as a slice of one shared lower-triangular array, which holds the
+same values a fresh mask would. A single query row is the last position
+and sees every key, so its mask would be all true: the plain row max is the
+masked one (a max is exact in any order), and exp in place gets the same
+operands.
 """
 
 from __future__ import annotations
@@ -198,6 +205,23 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# Read-only lower-triangular mask, grown to the longest key sequence seen.
+# Growth rebinds the global and never writes into a published array, so
+# concurrent readers each keep a valid mask.
+_tri = np.ones((0, 0), dtype=bool)
+
+
+def _causal_mask(q_rows: int, kv_len: int) -> np.ndarray:
+    """A q_rows x kv_len view: which keys the last q_rows positions see."""
+    global _tri
+    tri = _tri
+    if tri.shape[0] < kv_len:
+        tri = np.tri(kv_len, dtype=bool)
+        tri.flags.writeable = False
+        _tri = tri
+    return tri[kv_len - q_rows:kv_len, :kv_len]
+
+
 def _attention_block(
     lw: LayerWeights, x: np.ndarray, n_heads: int, cache: list | None, past: tuple | None,
     q_rows: int,
@@ -216,17 +240,21 @@ def _attention_block(
         keys[:, start:start + t_len] = k
         values[:, start:start + t_len] = v
         k, v = keys[:, :start + t_len], values[:, :start + t_len]
-    # Query row i is position kv_len - q_rows + i and sees the positions up to
-    # its own. p is the softmax of rows whose masked scores are -inf: the row
-    # max skips the masked scores, and exp runs on the seen ones only, into
-    # zeros, the exact exp(-inf) of the masked ones.
-    kv_len = k.shape[-2]
-    seen = np.tri(q_rows, kv_len, kv_len - q_rows, dtype=bool)
     z = q @ k.swapaxes(-1, -2)
     z /= np.sqrt(dh)
-    z -= z.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
-    p = np.zeros_like(z)
-    np.exp(z, out=p, where=seen)
+    if q_rows == 1:
+        # The last position sees every key: nothing is masked.
+        z -= z.max(axis=-1, keepdims=True)
+        p = np.exp(z, out=z)
+    else:
+        # Query row i is position kv_len - q_rows + i and sees the positions
+        # up to its own. p is the softmax of rows whose masked scores are
+        # -inf: the row max skips the masked scores, and exp runs on the seen
+        # ones only, into zeros, the exact exp(-inf) of the masked ones.
+        seen = _causal_mask(q_rows, k.shape[-2])
+        z -= z.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
+        p = np.zeros_like(z)
+        np.exp(z, out=p, where=seen)
     p /= p.sum(axis=-1, keepdims=True)
     attn = (p @ v).swapaxes(-3, -2).reshape(*lead, q_rows, d)
     if cache is not None:

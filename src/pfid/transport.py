@@ -26,6 +26,7 @@ __all__ = [
 
 MAX_FRAME_BYTES = 1 << 28  # reject absurd frame lengths before allocating
 IDLE_TIMEOUT_S = 60.0  # an accepted peer this long in sending a frame ends its session
+MAX_CONNECTIONS = 16  # sessions a TcpServer serves at once; later ones wait in the backlog
 _LEN = struct.Struct("<I")
 
 
@@ -138,8 +139,10 @@ def connect_tcp(host: str, port: int, timeout: float = 30.0) -> SocketTransport:
 
 class TcpServer:
     """Accept loop running one handler thread per connection; the connection
-    is closed when its handler returns. Accepted connections refuse frames
-    longer than max_frame."""
+    is closed when its handler returns. At most MAX_CONNECTIONS are served at
+    once: further connections wait in the listen backlog, unaccepted, until
+    a handler returns. Accepted connections refuse frames longer than
+    max_frame."""
 
     def __init__(self, handler: Callable[[SocketTransport], None], host: str = "127.0.0.1",
                  port: int = 0, max_frame: int = MAX_FRAME_BYTES):
@@ -150,11 +153,13 @@ class TcpServer:
         self._listener.bind((host, port))
         self._listener.listen()
         self.host, self.port = self._listener.getsockname()
+        self._slots = threading.Semaphore(MAX_CONNECTIONS)
         self._thread: threading.Thread | None = None
         self._stopping = False
 
     def _loop(self) -> None:
         while True:
+            self._slots.acquire()
             try:
                 conn, _ = self._listener.accept()
             except OSError:
@@ -168,6 +173,7 @@ class TcpServer:
             self._handler(transport)
         finally:
             transport.close()
+            self._slots.release()
 
     def start(self) -> "TcpServer":
         self._thread = threading.Thread(target=self._loop, daemon=True)
@@ -186,5 +192,6 @@ class TcpServer:
             except OSError:
                 pass
             self._listener.close()
+            self._slots.release()  # wakes a loop waiting for a free slot
         if self._thread:
             self._thread.join(timeout=5)

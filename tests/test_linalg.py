@@ -150,6 +150,23 @@ def test_model_shaped_states_get_the_exact_rank_k_svd(tiny_model, tokenizer):
                 assert_exact_rank_k(h, k, truncated_svd(h, k), orth_tol=1e-10)
 
 
+def test_reconstruct_equals_the_plain_product_bitwise(tiny_model, tokenizer):
+    """reconstruct's transposed n x d product has the bits of
+    (U diag(s)) V^T on head outputs at every n from 1 to 127, at the ranks
+    the default phead and ptail keep, and transposes to C order."""
+    config = PfidConfig()
+    client = split(tiny_model, config.spec).client()
+    ids = tokenizer.encode(" ".join(heldout_prompts(6, seed=9876, prompt_len=39)))[:127]
+    cache = head_cache(client)
+    for n in range(1, len(ids) + 1):
+        h = head_forward(client, ids[:n], cache).T
+        for ratio in (config.phead, config.ptail):
+            f = truncated_svd(h, ratio_to_rank(ratio, *h.shape))
+            rec = reconstruct(f)
+            assert rec.T.flags.c_contiguous
+            assert rec.tobytes() == ((f.u * f.s) @ f.v.T).tobytes()
+
+
 def conditioned(ratio, d, n, k=20):
     """d x n with lambda_k / lambda_1 = ratio for the Gram eigenvalues
     (sigma_k / sigma_1 = sqrt(ratio)) and a tail below sigma_k."""
@@ -253,6 +270,18 @@ class TestTruncatedFactorsInvariants:
                 u=np.eye(3)[:, :2], s=np.array([1.0, 2.0]), v=np.eye(3)[:, :2],
                 orig_rows=3, orig_cols=3, k=2,
             )
+
+    @pytest.mark.parametrize("s", [[np.nan, 1.0], [2.0, np.nan], [2.0, -0.5], [1.0, 1.5],
+                                   [np.nan]])
+    def test_rejects_nan_negative_and_increasing_values(self, s):
+        with pytest.raises(ValueError, match="non-increasing"):
+            TruncatedFactors(u=np.eye(3)[:, :len(s)], s=np.array(s), v=np.eye(3)[:, :len(s)],
+                             orig_rows=3, orig_cols=3, k=len(s))
+
+    @pytest.mark.parametrize("s", [[1.0, 1.0], [2.0, 0.0], [0.0, 0.0], [3.0]])
+    def test_accepts_equal_values_and_trailing_zeros(self, s):
+        TruncatedFactors(u=np.eye(3)[:, :len(s)], s=np.array(s), v=np.eye(3)[:, :len(s)],
+                         orig_rows=3, orig_cols=3, k=len(s))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

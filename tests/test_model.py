@@ -14,6 +14,7 @@ from pfid.model import (
     pipeline_generate,
     sample_next,
 )
+from pfid import model as model_module
 from pfid.model import RMS_EPS
 from reference import reference_layer_forward, reference_pipeline
 
@@ -177,6 +178,42 @@ class TestLayerKernels:
             assert_bitwise(got, want)
         for g, w in zip(got_kv, want_kv):
             assert_bitwise(g[:, :, :8], w[:, :, :8])
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
+    def test_slices_of_the_grown_shared_mask(self, config):
+        """After a max_seq - 1 row layer has grown the shared causal mask, a
+        five-row layer attends through strided slices of it, alone and
+        after three cached rows."""
+        lw = init_model(config).layers[1]
+        n_max = config.max_seq - 1
+        x = 3 * np.random.default_rng(n_max).standard_normal((n_max, config.d_model))
+        assert_bitwise(layer_forward(lw, x, config.n_heads),
+                       reference_layer_forward(lw, x, config.n_heads))
+        assert model_module._tri.shape[0] >= n_max
+        x = x[:8]
+        for q_rows in (None, 3):
+            assert_bitwise(layer_forward(lw, x[:5], config.n_heads, q_rows=q_rows),
+                           reference_layer_forward(lw, x[:5], config.n_heads, q_rows=q_rows))
+            got_kv, want_kv = kv_buffers(config, 1), kv_buffers(config, 1)
+            for start, stop, rows in ((0, 3, None), (3, 8, q_rows)):
+                got = layer_forward(lw, x[start:stop], config.n_heads,
+                                    past=(got_kv[0][0], got_kv[1][0], start), q_rows=rows)
+                want = reference_layer_forward(lw, x[start:stop], config.n_heads,
+                                               past=(want_kv[0][0], want_kv[1][0], start),
+                                               q_rows=rows)
+                assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
+    def test_one_query_row_of_a_batch(self, config):
+        """q_rows = 1 takes the unmasked softmax; the 14 intermediates match
+        too."""
+        lw = init_model(config).layers[2]
+        x = 3 * np.random.default_rng(3).standard_normal((3, 11, config.d_model))
+        got_cache, want_cache = [], []
+        assert_bitwise(layer_forward(lw, x, config.n_heads, got_cache, q_rows=1),
+                       reference_layer_forward(lw, x, config.n_heads, want_cache, q_rows=1))
+        for got, want in zip(got_cache, want_cache, strict=True):
+            assert_bitwise(got, want)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
     def test_batch_and_the_14_cached_intermediates(self, config):

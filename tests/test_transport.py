@@ -1,9 +1,12 @@
 import queue
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
+from pfid import transport
 from pfid.transport import (
     CapturingTransport,
     InMemoryTransport,
@@ -96,6 +99,50 @@ class TestSocket:
         server.stop()
         assert time.monotonic() - start < 1.0
         assert not server._thread.is_alive()
+
+    def test_connections_beyond_the_bound_wait_in_the_backlog(self, monkeypatch):
+        """With 2 slots, a third raw client is connected but unanswered until
+        one of the first two closes; then it is served. stop() returns at
+        once while every slot is busy."""
+        monkeypatch.setattr(transport, "MAX_CONNECTIONS", 2)
+
+        def echo(t):
+            try:
+                while True:
+                    t.send_bytes(t.recv_bytes())
+            except TransportClosed:
+                pass
+
+        def frame(payload):
+            return struct.pack("<I", len(payload)) + payload
+
+        def reply(sock):
+            head = sock.recv(4, socket.MSG_WAITALL)
+            return sock.recv(struct.unpack("<I", head)[0], socket.MSG_WAITALL)
+
+        server = TcpServer(echo).start()
+        clients = []
+        try:
+            for i in range(3):
+                clients.append(socket.create_connection((server.host, server.port), timeout=5))
+                clients[-1].sendall(frame(b"client %d" % i))
+            assert [reply(c) for c in clients[:2]] == [b"client 0", b"client 1"]
+            clients[2].settimeout(0.3)
+            with pytest.raises(TimeoutError):
+                clients[2].recv(1)
+            clients[2].settimeout(5)
+            clients.pop(0).close()
+            assert reply(clients[1]) == b"client 2"
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1.0
+            assert not server._thread.is_alive()
+            clients[0].sendall(frame(b"still served"))
+            assert reply(clients[0]) == b"still served"
+        finally:
+            for c in clients:
+                c.close()
+            server.stop()
 
     def test_connect_refused(self):
         with pytest.raises(TransportError, match="connect"):

@@ -60,7 +60,9 @@ def dump() -> dict[str, str]:
                              sampling=SamplingParams(max_new_tokens=28, seed=3)),
     }
     out = {}
-    for n in (8, 24, 64, 100):
+    # The longest prompt first, so the shorter ones attend through slices of
+    # an already grown causal mask.
+    for n in (100, 8, 64, 24):
         prompt = corpus[1000 + n:1000 + 2 * n]
         for name, config in settings.items():
             sim = run_local_sim(model, tok, config, prompt)
