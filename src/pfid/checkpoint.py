@@ -2,8 +2,10 @@
 
 Layout: magic "PFIDMDL1", a fixed header (version, shard role, split
 points, model config), then weight matrices in declared order as
-little-endian binary32. Roles let one container format carry a full model,
-a client export (head + tail) or a server export (middle only).
+little-endian binary32. The role byte says which of two views the file
+holds: the full model (role 0), which every command loads, or the middle
+export (role 2), the middle layers alone, which is all `pfid serve` needs.
+Any other role is refused.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from .shard import Shard, ShardSpec, split
 __all__ = [
     "CheckpointError",
     "ROLE_FULL",
-    "ROLE_CLIENT",
     "ROLE_MIDDLE",
     "save_model",
     "load_model",
-    "save_client",
-    "load_client",
     "save_middle",
     "load_middle",
     "checkpoint_role",
@@ -34,12 +33,11 @@ __all__ = [
 
 MAGIC = b"PFIDMDL1"
 VERSION = 1
-ROLE_FULL, ROLE_CLIENT, ROLE_MIDDLE = 0, 1, 2
+ROLE_FULL, ROLE_MIDDLE = 0, 2
 
 # what each role holds: the view of the model it writes and reads
 _ROLES = {
     ROLE_FULL: ("full-model checkpoint", lambda model: model),
-    ROLE_CLIENT: ("client export", Shard.client),
     ROLE_MIDDLE: ("middle export", Shard.middle),
 }
 
@@ -140,15 +138,6 @@ def save_model(path: str | Path, model: TransformerModel) -> None:
 
 def load_model(path: str | Path) -> TransformerModel:
     return _load(path, ROLE_FULL)
-
-
-def save_client(path: str | Path, sharded: Shard) -> None:
-    """Head and tail layers plus embedding and LM head of a split model."""
-    _save(path, ROLE_CLIENT, sharded)
-
-
-def load_client(path: str | Path) -> Shard:
-    return _load(path, ROLE_CLIENT)
 
 
 def save_middle(path: str | Path, sharded: Shard) -> None:

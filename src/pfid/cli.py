@@ -6,6 +6,15 @@ sweep hyperparameters, report one prompt, and emit spectrum/communication
 analyses. Every command is deterministic given the manifest seeds and
 writes a run manifest next to its outputs.
 
+Settings: `--config FILE` loads a `PfidConfig` from JSON, and a flag per
+setting overrides one key. Each command takes only the settings it reads:
+`generate` and `report` all eight (`--config`, `--layer-range`, `--omega`,
+`--phead`, `--ptail`, `--greedy`, `--max-new-tokens`, `--seed`); `serve`,
+which runs only the middle, `--config`, `--layer-range` and `--ptail`;
+`sweep`, whose `*-grid` flags set the split, omega, phead and ptail,
+`--config`, `--greedy`, `--max-new-tokens` and `--seed`; `train` and
+`analyze` none, and their manifests record `"config": null`.
+
 `generate`, `sweep` and `report` run a session through `run_local_sim`:
 in process, where the middle answers each request in the caller's thread,
 or, for `generate --transport socket`, over a TCP connection to
@@ -61,27 +70,23 @@ def _parse_layer_range(text: str) -> ShardSpec:
     try:
         k, n = (int(x) for x in text.split(","))
     except ValueError:
-        raise ConfigError(f"--layer-range expects 'K,N', got {text!r}") from None
+        raise ConfigError(f"a layer range is 'K,N', got {text!r}") from None
     return ShardSpec(k, n)
 
 
 def _load_config(args) -> PfidConfig:
+    """--config's PfidConfig (or the defaults) with each setting flag that
+    the command takes and the user gave written over its key."""
     try:
-        cfg = PfidConfig.load(args.config) if getattr(args, "config", None) else PfidConfig()
-        overrides = {}
+        doc = (PfidConfig.load(args.config) if args.config else PfidConfig()).to_dict()
         if getattr(args, "layer_range", None):
             spec = _parse_layer_range(args.layer_range)
-            overrides["layer_range"] = [spec.split_k, spec.split_n]
-        for key in ("omega", "phead", "ptail", "max_new_tokens"):
-            val = getattr(args, key, None)
-            if val is not None:
-                overrides[key] = val
+            doc["layer_range"] = [spec.split_k, spec.split_n]
+        for key in ("omega", "phead", "ptail", "max_new_tokens", "seed"):
+            if getattr(args, key, None) is not None:
+                doc[key] = getattr(args, key)
         if getattr(args, "greedy", False):
-            overrides["greedy"] = True
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        doc = cfg.to_dict()
-        doc.update(overrides)
+            doc["greedy"] = True
         return PfidConfig.from_dict(doc)
     except (ValueError, OSError) as e:
         raise ConfigError(str(e)) from e
@@ -143,7 +148,8 @@ def cmd_generate(args) -> int:
             if args.connect is None:
                 raise ConfigError("--connect HOST:PORT is required with --transport socket")
             host, _, port = args.connect.partition(":")
-            transport = connect_tcp(host, int(port))
+            # no reply is longer than the largest request this model takes
+            transport = connect_tcp(host, int(port), max_frame=max_request_bytes(model.config))
         sim = run_local_sim(model, tokenizer, config, args.prompt, transport)
         if args.mode == "local":
             picked = sim.local
@@ -166,13 +172,10 @@ def cmd_generate(args) -> int:
 
 def cmd_serve(args) -> int:
     config = _load_config(args)
-    role = ckpt.checkpoint_role(args.checkpoint)
-    if role == ckpt.ROLE_MIDDLE:
+    if ckpt.checkpoint_role(args.checkpoint) == ckpt.ROLE_MIDDLE:
         middle = ckpt.load_middle(args.checkpoint)
-    elif role == ckpt.ROLE_FULL:
+    else:  # the full model; checkpoint_role refuses any other role
         middle = split(ckpt.load_model(args.checkpoint), config.spec).middle()
-    else:
-        raise ConfigError("serve needs a middle export or a full checkpoint")
     server = TcpServer(lambda t: serve_middle(middle, t, config), host=args.host, port=args.port,
                        max_frame=max_request_bytes(middle.config))
     print(f"serving middle shard on {server.host}:{server.port}")
@@ -260,7 +263,6 @@ def _mean(reports: list) -> Any:
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args)
     tokenizer = ascii96()
     model = ckpt.load_model(args.checkpoint)
     out_dir = Path(args.out_dir)
@@ -287,8 +289,8 @@ def cmd_analyze(args) -> int:
     }
     report_path = out_dir / "analysis.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "analyze", config, args.checkpoint,
-                    ["analyze"], [str(report_path)], config.sampling.seed)
+    _write_manifest(out_dir, "analyze", None, args.checkpoint,
+                    ["analyze"], [str(report_path)], args.prompt_seed)
     print(f"\nper-layer spectrum (tail_q={args.tail_q}):")
     print(f"{'layer':>5} {'nuclear':>10} {'tail_share':>10}")
     for row in spectra:
@@ -318,6 +320,48 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# Every flag, declared once. Each command attaches the flags it reads and
+# sets its own defaults (build_parser).
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--checkpoint": {"required": True,
+                     "help": "full-model checkpoint; serve also takes a middle export"},
+    "--prompt": {"required": True},
+    "--prompts": {"type": int, "help": "number of held-out prompts"},
+    "--prompt-seed": {"type": int, "default": 9876},
+    "--prompt-len": {"type": int, "default": 16},
+    "--out-dir": {"help": "output directory; defaults to runs/COMMAND"},
+    "--corpus": {"help": "text file; defaults to the bundled synthetic corpus"},
+    "--corpus-lines": {"type": int, "default": 600},
+    "--corpus-seed": {"type": int, "default": 1234},
+    "--steps": {"type": int, "default": 4000},
+    "--lr": {"type": float, "default": 3e-3},
+    "--out": {"required": True, "help": "checkpoint output path"},
+    "--mode": {"choices": ["pipeline", "local", "eavesdropper", "remnant"], "default": "local"},
+    "--transport": {"choices": ["sim", "socket"], "default": "sim"},
+    "--connect": {"help": "HOST:PORT of a serving middle shard"},
+    "--save-capture": {"action": "store_true"},
+    "--host": {"default": "127.0.0.1"},
+    "--port": {"type": int, "default": 0},
+    "--omega-grid": {"help": "comma-separated omegas"},
+    "--phead-grid": {},
+    "--ptail-grid": {},
+    "--layer-range-grid": {"help": "semicolon-separated K,N pairs"},
+    "--tail-q": {"type": int, "default": 16},
+    # protocol settings, each written over its key of --config's PfidConfig
+    "--config": {"help": "JSON config file mirroring PfidConfig"},
+    "--layer-range": {"help": "K,N split points"},
+    "--omega": {"type": float},
+    "--phead": {"type": float},
+    "--ptail": {"type": float},
+    "--greedy": {"action": "store_true"},
+    "--max-new-tokens": {"type": int},
+    "--seed": {"type": int, "help": "train: weights and batches; otherwise sampling"},
+}
+
+_SETTINGS = ["--config", "--layer-range", "--omega", "--phead", "--ptail",
+             "--greedy", "--max-new-tokens", "--seed"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfid",
@@ -325,75 +369,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train the bundled toy model")
-    p.add_argument("--corpus", help="text file; defaults to the bundled synthetic corpus")
-    p.add_argument("--corpus-lines", type=int, default=600)
-    p.add_argument("--corpus-seed", type=int, default=1234)
-    p.add_argument("--steps", type=int, default=4000)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="checkpoint output path")
-    p.set_defaults(func=cmd_train)
+    def command(name, func, summary, flags, **defaults):
+        # no abbreviations: sweep would read --omega as --omega-grid
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if "--out-dir" in flags:
+            defaults.setdefault("out_dir", f"runs/{name}")
+        p.set_defaults(func=func, **defaults)
 
-    def add_config_flags(p):
-        p.add_argument("--config", help="JSON config file mirroring PfidConfig")
-        p.add_argument("--layer-range", help="K,N split points")
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--phead", type=float, default=None)
-        p.add_argument("--ptail", type=float, default=None)
-        p.add_argument("--greedy", action="store_true")
-        p.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("generate", help="decode one prompt under a scenario")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--prompt", required=True)
-    p.add_argument("--mode", choices=["pipeline", "local", "eavesdropper", "remnant"],
-                   default="local")
-    p.add_argument("--transport", choices=["sim", "socket"], default="sim")
-    p.add_argument("--connect", help="HOST:PORT of a serving middle shard")
-    p.add_argument("--out-dir", default="runs/generate")
-    p.add_argument("--save-capture", action="store_true")
-    add_config_flags(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("serve", help="serve a middle shard over TCP")
-    p.add_argument("--checkpoint", required=True, help="middle export or full checkpoint")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    add_config_flags(p)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("sweep", help="grid-sweep hyperparameters")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--omega-grid", help="comma-separated omegas")
-    p.add_argument("--phead-grid")
-    p.add_argument("--ptail-grid")
-    p.add_argument("--layer-range-grid", help="semicolon-separated K,N pairs")
-    p.add_argument("--prompts", type=int, default=20)
-    p.add_argument("--prompt-seed", type=int, default=9876)
-    p.add_argument("--prompt-len", type=int, default=16)
-    p.add_argument("--out-dir", default="runs/sweep")
-    add_config_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("analyze", help="spectrum and communication reports")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--prompts", type=int, default=10)
-    p.add_argument("--prompt-seed", type=int, default=9876)
-    p.add_argument("--prompt-len", type=int, default=16)
-    p.add_argument("--tail-q", type=int, default=16)
-    p.add_argument("--out-dir", default="runs/analyze")
-    add_config_flags(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("report", help="full scenario comparison for one prompt")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--prompt", required=True)
-    p.add_argument("--out-dir", default="runs/report")
-    add_config_flags(p)
-    p.set_defaults(func=cmd_report)
-
+    command("train", cmd_train, "train the bundled toy model",
+            ["--corpus", "--corpus-lines", "--corpus-seed", "--steps", "--lr", "--seed", "--out"],
+            seed=0)
+    command("generate", cmd_generate, "decode one prompt under a scenario",
+            ["--checkpoint", "--prompt", "--mode", "--transport", "--connect", "--out-dir",
+             "--save-capture", *_SETTINGS])
+    command("serve", cmd_serve, "serve a middle shard over TCP",
+            ["--checkpoint", "--host", "--port", "--config", "--layer-range", "--ptail"])
+    command("sweep", cmd_sweep, "grid-sweep hyperparameters",
+            ["--checkpoint", "--omega-grid", "--phead-grid", "--ptail-grid", "--layer-range-grid",
+             "--prompts", "--prompt-seed", "--prompt-len", "--out-dir",
+             "--config", "--greedy", "--max-new-tokens", "--seed"], prompts=20)
+    command("analyze", cmd_analyze, "spectrum and communication reports",
+            ["--checkpoint", "--prompts", "--prompt-seed", "--prompt-len", "--tail-q",
+             "--out-dir"], prompts=10)
+    command("report", cmd_report, "full scenario comparison for one prompt",
+            ["--checkpoint", "--prompt", "--out-dir", *_SETTINGS])
     return parser
 
 

@@ -33,6 +33,7 @@ the transpose of an n x d state, and `Packet.hidden` returns one.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,6 +150,23 @@ class RemoteProtocolError(ProtocolError):
         self.step = step
 
 
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def _json_typed(key: str, value: Any, kind: type) -> Any:
+    """value as kind, refused unless it has kind's JSON type: a bool field
+    takes only a boolean, an int field only an integer that is not a
+    boolean, a float field only a number that is not a boolean."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        number = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config key {key!r} takes {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class PfidConfig:
     spec: ShardSpec = ShardSpec(3, 5)
@@ -180,31 +198,22 @@ class PfidConfig:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "PfidConfig":
-        unknown = set(doc) - set(cls().to_dict())
+        """The config a to_dict()-shaped doc describes; a missing key keeps
+        its default. Values keep their JSON types: see _json_typed."""
+        defaults = cls().to_dict()
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        base = cls()
-        lr = doc.get("layer_range", [base.spec.split_k, base.spec.split_n])
+        lr = doc.get("layer_range", defaults.pop("layer_range"))
         if not (isinstance(lr, (list, tuple)) and len(lr) == 2):
             raise ValueError(f"layer_range must be a [K, N] pair, got {lr!r}")
-        sampling = SamplingParams(
-            temperature=float(doc.get("temperature", base.sampling.temperature)),
-            top_p=float(doc.get("top_p", base.sampling.top_p)),
-            top_k=int(doc.get("top_k", base.sampling.top_k)),
-            max_new_tokens=int(doc.get("max_new_tokens", base.sampling.max_new_tokens)),
-            greedy=bool(doc.get("greedy", base.sampling.greedy)),
-            seed=int(doc.get("seed", base.sampling.seed)),
-        )
+        values = {key: _json_typed(key, doc.get(key, default), type(default))
+                  for key, default in defaults.items()}
         return cls(
-            spec=ShardSpec(int(lr[0]), int(lr[1])),
-            omega=float(doc.get("omega", base.omega)),
-            phead=float(doc.get("phead", base.phead)),
-            ptail=float(doc.get("ptail", base.ptail)),
-            sampling=sampling,
+            spec=ShardSpec(*(_json_typed("layer_range", x, int) for x in lr)),
+            omega=values.pop("omega"), phead=values.pop("phead"), ptail=values.pop("ptail"),
+            sampling=SamplingParams(**values),
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PfidConfig":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GELU_A, GELU_C, TransformerModel, _rms_scale, _softmax_rows, layer_forward
-from .tokenizer import Tokenizer, ascii96
+from .tokenizer import ascii96
 
 __all__ = ["train", "batch_loss", "loss_and_grads", "TrainResult"]
 
@@ -133,7 +133,6 @@ def train(
     steps: int,
     lr: float = 3e-3,
     seed: int = 0,
-    tokenizer: Tokenizer | None = None,
     batch_size: int = 12,
     seq_len: int = 32,
     log_every: int = 100,
@@ -147,8 +146,7 @@ def train(
         raise ValueError("steps must be >= 1")
     if not corpus:
         raise ValueError("corpus is empty")
-    tokenizer = tokenizer or ascii96()
-    ids = np.asarray(tokenizer.encode(corpus), dtype=np.int64)
+    ids = np.asarray(ascii96().encode(corpus), dtype=np.int64)
     seq_len = min(seq_len, model.config.max_seq)
     if len(ids) < seq_len + 2:
         seq_len = max(2, len(ids) - 2)

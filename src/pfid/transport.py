@@ -129,12 +129,14 @@ class CapturingTransport:
         self._inner.close()
 
 
-def connect_tcp(host: str, port: int, timeout: float = 30.0) -> SocketTransport:
+def connect_tcp(host: str, port: int, timeout: float = 30.0,
+                max_frame: int = MAX_FRAME_BYTES) -> SocketTransport:
+    """A connection that refuses reply frames longer than max_frame."""
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as e:
         raise TransportError(f"cannot connect to {host}:{port}: {e}") from e
-    return SocketTransport(sock)
+    return SocketTransport(sock, max_frame)
 
 
 class TcpServer:

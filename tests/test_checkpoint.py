@@ -5,14 +5,11 @@ import pytest
 
 from pfid.checkpoint import (
     CheckpointError,
-    ROLE_CLIENT,
     ROLE_FULL,
     ROLE_MIDDLE,
     checkpoint_role,
-    load_client,
     load_middle,
     load_model,
-    save_client,
     save_middle,
     save_model,
 )
@@ -43,34 +40,43 @@ def test_save_is_byte_deterministic(tmp_path, model):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def role_1_file(tmp_path, model):
+    """A middle export whose role byte says 1, the retired client export."""
+    path = tmp_path / "r1.ckpt"
+    save_middle(path, split(model, ShardSpec(1, 3)))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 12, 1)
+    path.write_bytes(bytes(data))
+    return path
+
+
 def test_roles(tmp_path, model):
     sharded = split(model, ShardSpec(1, 3))
-    full, client, middle = tmp_path / "f.ckpt", tmp_path / "c.ckpt", tmp_path / "m.ckpt"
+    full, middle = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
     save_model(full, model)
-    save_client(client, sharded)
     save_middle(middle, sharded)
     assert checkpoint_role(full) == ROLE_FULL
-    assert checkpoint_role(client) == ROLE_CLIENT
     assert checkpoint_role(middle) == ROLE_MIDDLE
     with pytest.raises(CheckpointError, match="role"):
-        load_model(client)
+        load_model(middle)
     with pytest.raises(CheckpointError, match="role"):
         load_middle(full)
-    with pytest.raises(CheckpointError, match="role"):
-        load_client(middle)
+    retired = role_1_file(tmp_path, model)
+    for load in (checkpoint_role, load_model, load_middle):
+        with pytest.raises(CheckpointError, match="unknown shard role 1"):
+            load(retired)
 
 
 def test_shard_exports_compose_like_the_full_model(tmp_path, model):
-    """Client + middle exports must reproduce the round-tripped full model's
+    """The middle export must reproduce the round-tripped full model's
     sharded forward exactly (all paths see the same binary32 weights)."""
     sharded = split(model, ShardSpec(1, 3))
-    full, client_p, middle_p = tmp_path / "f.ckpt", tmp_path / "c.ckpt", tmp_path / "m.ckpt"
+    full, middle_p = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
     save_model(full, model)
-    save_client(client_p, sharded)
     save_middle(middle_p, sharded)
 
     reference = split(load_model(full), ShardSpec(1, 3))
-    client, middle = load_client(client_p), load_middle(middle_p)
+    client, middle = reference.client(), load_middle(middle_p)
 
     tokens = [3, 1, 4, 1, 5]
     h_ref = head_forward(reference, tokens)
@@ -125,23 +131,21 @@ def expected_export(model, role, k, n, layer_ids, ends):
 
 def test_export_bytes_follow_the_documented_layout(tmp_path, model):
     sharded = split(model, ShardSpec(1, 3))
-    full, client, middle = tmp_path / "f.ckpt", tmp_path / "c.ckpt", tmp_path / "m.ckpt"
+    full, middle = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
     save_model(full, model)
-    save_client(client, sharded)
     save_middle(middle, sharded)
     assert full.read_bytes() == expected_export(model, ROLE_FULL, 0, 0, range(4), True)
-    assert client.read_bytes() == expected_export(model, ROLE_CLIENT, 1, 3, [0, 3], True)
     assert middle.read_bytes() == expected_export(model, ROLE_MIDDLE, 1, 3, [1, 2], False)
 
 
 def test_loaded_roles_hold_only_their_weights(tmp_path, model):
     sharded = split(model, ShardSpec(1, 3))
-    client_p, middle_p = tmp_path / "c.ckpt", tmp_path / "m.ckpt"
-    save_client(client_p, sharded)
+    full_p, middle_p = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
+    save_model(full_p, model)
     save_middle(middle_p, sharded)
-    client, middle = load_client(client_p), load_middle(middle_p)
-    assert client.spec == middle.spec == ShardSpec(1, 3)
-    assert [lw is None for lw in client.layers] == [False, True, True, False]
+    full, middle = load_model(full_p), load_middle(middle_p)
+    assert middle.spec == ShardSpec(1, 3)
+    assert [lw is None for lw in full.layers] == [False] * 4
     assert [lw is None for lw in middle.layers] == [True, False, False, True]
     assert middle.embedding is None and middle.pos is None
     assert middle.g_final is None and middle.lm_head is None

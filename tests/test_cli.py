@@ -1,19 +1,23 @@
 import json
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
 
 from pfid.adversary import AdversaryMode
-from pfid.checkpoint import load_model, save_model
+from pfid.checkpoint import load_model, save_middle, save_model
 from pfid.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, main
 from pfid.corpus import heldout_prompts
 from pfid.metrics import bleu, token_agreement
 from pfid.model import ModelConfig, SamplingParams, init_model
-from pfid.protocol import PfidConfig, run_local_sim, serve_middle
+from pfid.linalg import ratio_to_rank
+from pfid.protocol import (PfidConfig, max_request_bytes, packet_bytes_for, run_local_sim,
+                           serve_middle)
 from pfid.shard import ShardSpec, split
 from pfid.tokenizer import ascii96
-from pfid.transport import TcpServer
+from pfid.transport import SocketTransport, TcpServer
 
 SMALL = ModelConfig(n_layers=3, d_model=16, n_heads=2, d_ff=32, vocab_size=96, max_seq=40,
                     seed=1)
@@ -75,6 +79,45 @@ def test_config_file_with_noise_sigma_exits_2(checkpoint, tmp_path):
     assert generate(checkpoint, tmp_path, "--config", str(config)) == EXIT_CONFIG
 
 
+def test_reply_longer_than_the_model_allows_exits_3(checkpoint, tmp_path, capsys):
+    """The client refuses a reply's length prefix above max_request_bytes
+    of its model, before reading any of the body."""
+    limit = max_request_bytes(SMALL)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(30)
+
+        def answer_oversize():
+            conn, _ = listener.accept()
+            with conn:
+                SocketTransport(conn).recv_bytes()
+                conn.sendall(struct.pack("<I", limit + 1))
+
+        stand_in = threading.Thread(target=answer_oversize)
+        stand_in.start()
+        try:
+            code = generate(checkpoint, tmp_path, "--transport", "socket",
+                            "--connect", f"127.0.0.1:{listener.getsockname()[1]}")
+        finally:
+            stand_in.join(timeout=30)
+    assert not stand_in.is_alive()
+    assert code == EXIT_TRANSPORT
+    assert f"frame length {limit + 1} exceeds limit {limit}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("greedy", "false"),
+    ("seed", 1.9),
+    ("top_k", 2.7),
+    ("max_new_tokens", True),
+    ("layer_range", [1.9, 2.2]),
+    ("omega", True),
+])
+def test_config_file_value_of_the_wrong_json_type_exits_2(checkpoint, tmp_path, key, value):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({key: value}))
+    assert generate(checkpoint, tmp_path, "--config", str(config)) == EXIT_CONFIG
+
+
 def test_socket_and_sim_runs_write_the_same_trace_and_capture(checkpoint, tmp_path):
     """The same flags as `generate`; the server serves the same middle."""
     config = PfidConfig(spec=ShardSpec(1, 2), sampling=SamplingParams(max_new_tokens=4))
@@ -125,7 +168,7 @@ def old_sweep_row(model, config, prompts):
 
 def test_sweep_rows_match_the_old_sweep_scoring(checkpoint, tmp_path):
     code = main(["sweep", "--checkpoint", str(checkpoint), "--prompts", "3",
-                 "--prompt-len", "8", "--layer-range", "1,2", "--max-new-tokens", "6",
+                 "--prompt-len", "8", "--layer-range-grid", "1,2", "--max-new-tokens", "6",
                  "--phead-grid", "0.5,0.0", "--out-dir", str(tmp_path)])
     assert code == EXIT_OK
     rows = json.loads((tmp_path / "sweep.json").read_text())
@@ -158,3 +201,50 @@ def test_report_writes_the_output_gap(checkpoint, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {"scenarios", "output_gap", "comm_ratio"}
     assert set(report["output_gap"]) == {mode.value for mode in AdversaryMode}
+
+
+UNREAD_FLAGS = {
+    "serve": ["--omega", "--phead", "--greedy", "--max-new-tokens", "--seed"],
+    "sweep": ["--layer-range", "--omega", "--phead", "--ptail"],
+    "analyze": ["--config", "--layer-range", "--omega", "--phead", "--ptail", "--greedy",
+                "--max-new-tokens", "--seed"],
+}
+FLAG_VALUES = {"--config": "c.json", "--layer-range": "1,2", "--max-new-tokens": "4",
+               "--seed": "1", "--greedy": None}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags
+])
+def test_commands_refuse_the_flags_they_do_not_read(checkpoint, command, flag):
+    value = FLAG_VALUES.get(flag, "0.5")
+    argv = [command, "--checkpoint", str(checkpoint), flag] + ([value] if value else [])
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+
+
+def test_serve_refuses_a_role_1_checkpoint(checkpoint, tmp_path):
+    retired = tmp_path / "role1.ckpt"
+    save_middle(retired, split(load_model(checkpoint), ShardSpec(1, 2)))
+    data = bytearray(retired.read_bytes())
+    struct.pack_into("<I", data, 12, 1)  # the role field of the header
+    retired.write_bytes(bytes(data))
+    assert main(["serve", "--checkpoint", str(retired)]) == EXIT_CONFIG
+
+
+def test_analyze_writes_spectra_and_the_comm_table(checkpoint, tmp_path):
+    code = main(["analyze", "--checkpoint", str(checkpoint), "--prompts", "2",
+                 "--prompt-len", "8", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    analysis = json.loads((tmp_path / "analysis.json").read_text())
+    assert [row["layer"] for row in analysis["spectra"]] == list(range(SMALL.n_layers + 1))
+    assert analysis["comm_table"]
+    for row in analysis["comm_table"]:
+        assert row["d"] == SMALL.d_model
+        assert row["k"] == ratio_to_rank(row["ratio"], row["d"], row["n"])
+        assert row["packet_bytes"] == packet_bytes_for(row["d"], row["n"], row["k"])
+        assert row["baseline_bytes"] == 4 * row["d"] * row["n"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] is None
+    assert manifest["seed"] == 9876
