@@ -1,26 +1,38 @@
 """Operator entry point.
 
-Subcommands: train the toy model, generate under any scenario (pipeline,
-local over sim or socket, eavesdropper, remnant), serve a middle shard,
-sweep hyperparameters, report one prompt, and emit spectrum/communication
-analyses. Every command is deterministic given the manifest seeds and
-writes a run manifest next to its outputs.
+Five commands, each deterministic given its manifest's seeds, each writing
+a run manifest (`manifest.json`) next to its outputs:
+
+- `train` trains the toy model and writes a checkpoint;
+- `generate` runs one session on one prompt and scores every scenario;
+- `serve` serves the middle shard over TCP;
+- `sweep` scores held-out prompts over a grid of settings;
+- `analyze` writes per-layer spectra and the communication table.
 
 Settings: `--config FILE` loads a `PfidConfig` from JSON, and a flag per
 setting overrides one key. Each command takes only the settings it reads:
-`generate` and `report` all eight (`--config`, `--layer-range`, `--omega`,
-`--phead`, `--ptail`, `--greedy`, `--max-new-tokens`, `--seed`); `serve`,
-which runs only the middle, `--config`, `--layer-range` and `--ptail`;
-`sweep`, whose `*-grid` flags set the split, omega, phead and ptail,
-`--config`, `--greedy`, `--max-new-tokens` and `--seed`; `train` and
-`analyze` none, and their manifests record `"config": null`.
+`generate` all eight (`--config`, `--layer-range`, `--omega`, `--phead`,
+`--ptail`, `--greedy`, `--max-new-tokens`, `--seed`); `serve`, which runs
+only the middle, `--config`, `--layer-range` and `--ptail`; `sweep`, whose
+`*-grid` flags set the split, omega, phead and ptail, `--config`,
+`--greedy`, `--max-new-tokens` and `--seed`; `train` and `analyze` none,
+and their manifests record `"config": null`.
 
-`generate`, `sweep` and `report` run a session through `run_local_sim`:
-in process, where the middle answers each request in the caller's thread,
-or, for `generate --transport socket`, over a TCP connection to
-`pfid serve`. `sweep` and `report` score it with `build_eval_report`:
-each scenario against the pipeline, and the output gap, the local
-client's score minus an eavesdropper's.
+`generate` runs its session through `run_local_sim`: in process, where the
+middle answers each request in the caller's thread, or over a TCP
+connection to `pfid serve` when `--connect HOST:PORT` is given. Both give
+the same bytes. It writes to `--out-dir`:
+
+- `traces.json`, each scenario's trace keyed by its label: `pipeline`,
+  `local`, `eavesdropper:<mode>` and `remnant`;
+- `report.json`, `build_eval_report`'s scores of those scenarios against
+  the pipeline and the output gap, the local client's score minus an
+  eavesdropper's;
+- `capture.pfidcap`, the session's packets in wire order, each prefixed
+  by its length as a little-endian u32.
+
+It prints the score table. `sweep` scores its sessions the same way,
+without the remnant, and writes the mean of each setting's reports.
 
 Exit codes: 0 success, 2 config error, 3 transport error, 4 protocol error,
 1 anything else.
@@ -46,7 +58,7 @@ from .adversary import AdversaryMode, remnant_generate, save_capture
 from .corpus import build_corpus, heldout_prompts
 from .linalg import ratio_to_rank
 from .metrics import build_eval_report, spectra_report
-from .model import ModelConfig, init_model, pipeline_generate
+from .model import ModelConfig, init_model
 from .protocol import (PfidConfig, ProtocolError, max_request_bytes, packet_bytes_for,
                        run_local_sim, serve_middle)
 from .shard import ShardSpec, split
@@ -136,44 +148,50 @@ def cmd_generate(args) -> int:
     model = ckpt.load_model(args.checkpoint)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.mode == "pipeline":
-        ids = tokenizer.encode(args.prompt)
-        picked = pipeline_generate(model, ids, config.sampling, eos_id=tokenizer.eos_id)
-        picked.prompt = args.prompt
-        picked.set_text(tokenizer)
-    else:
-        transport = None
-        if args.transport == "socket":
-            if args.connect is None:
-                raise ConfigError("--connect HOST:PORT is required with --transport socket")
-            host, _, port = args.connect.partition(":")
-            # no reply is longer than the largest request this model takes
-            transport = connect_tcp(host, int(port), max_frame=max_request_bytes(model.config))
-        sim = run_local_sim(model, tokenizer, config, args.prompt, transport)
-        if args.mode == "local":
-            picked = sim.local
-        elif args.mode == "eavesdropper":
-            picked = sim.eavesdroppers[_TAIL_ONLY]
-        else:
-            picked = remnant_generate(split(model, config.spec), sim.local, sim.capture,
-                                      tokenizer)
-        if args.save_capture:
-            save_capture(out_dir / "capture.pfidcap", sim.capture)
-
-    trace_path = out_dir / f"trace_{args.mode}.json"
-    trace_path.write_text(json.dumps(picked.to_dict(), indent=2) + "\n")
-    _write_manifest(out_dir, "generate", config, args.checkpoint, [args.mode],
-                    [str(trace_path)], config.sampling.seed)
-    print(f"[{args.mode}] {picked.text!r}")
-    print(f"trace: {trace_path}")
+    transport = None
+    if args.connect is not None:
+        host, _, port = args.connect.rpartition(":")
+        if not (host and port.isdecimal() and 1 <= int(port) <= 65535):
+            raise ConfigError(f"--connect is HOST:PORT with PORT in 1-65535, got {args.connect!r}")
+        # no reply is longer than the largest request this model takes
+        transport = connect_tcp(host, int(port), max_frame=max_request_bytes(model.config))
+    sim = run_local_sim(model, tokenizer, config, args.prompt, transport)
+    remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tokenizer)
+    report = build_eval_report(
+        sim.pipeline, sim.local, sim.eavesdroppers, remnant=remnant,
+        comm_ratio=sim.comm_ratio,
+    )
+    traces = {"pipeline": sim.pipeline, "local": sim.local, "remnant": remnant,
+              **{f"eavesdropper:{mode}": t for mode, t in sim.eavesdroppers.items()}}
+    traces_path = out_dir / "traces.json"
+    traces_path.write_text(json.dumps(
+        {name: traces[name].to_dict() for name in report["scenarios"]}, indent=2) + "\n")
+    report_path = out_dir / "report.json"
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    capture_path = out_dir / "capture.pfidcap"
+    save_capture(capture_path, sim.capture)
+    _write_manifest(out_dir, "generate", config, args.checkpoint, list(report["scenarios"]),
+                    [str(traces_path), str(report_path), str(capture_path)],
+                    config.sampling.seed)
+    print(f"[local] {sim.local.text!r}")
+    for name, scores in report["scenarios"].items():
+        print(f"{name:40s} bleu={scores['bleu']:6.2f} "
+              f"agreement={scores['token_agreement']:.3f} kl={scores['mean_logit_kl']:.4f}")
+    print(f"report: {report_path}")
     return EXIT_OK
 
 
 def cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in 0-65535, got {args.port}")
     config = _load_config(args)
     if ckpt.checkpoint_role(args.checkpoint) == ckpt.ROLE_MIDDLE:
         middle = ckpt.load_middle(args.checkpoint)
+        if args.layer_range and config.spec != middle.spec:
+            theirs, ours = config.spec, middle.spec
+            raise ConfigError(
+                f"--layer-range {theirs.split_k},{theirs.split_n} differs from the middle "
+                f"export's split {ours.split_k},{ours.split_n}")
     else:  # the full model; checkpoint_role refuses any other role
         middle = split(ckpt.load_model(args.checkpoint), config.spec).middle()
     server = TcpServer(lambda t: serve_middle(middle, t, config), host=args.host, port=args.port,
@@ -299,27 +317,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    config = _load_config(args)
-    tokenizer = ascii96()
-    model = ckpt.load_model(args.checkpoint)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sim = run_local_sim(model, tokenizer, config, args.prompt)
-    remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tokenizer)
-    report = build_eval_report(
-        sim.pipeline, sim.local, sim.eavesdroppers, remnant=remnant,
-        comm_ratio=sim.comm_ratio,
-    )
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, scores in report["scenarios"].items():
-        print(f"{name:40s} bleu={scores['bleu']:6.2f} "
-              f"agreement={scores['token_agreement']:.3f} kl={scores['mean_logit_kl']:.4f}")
-    print(f"report: {report_path}")
-    return EXIT_OK
-
-
 # Every flag, declared once. Each command attaches the flags it reads and
 # sets its own defaults (build_parser).
 _FLAGS: dict[str, dict[str, Any]] = {
@@ -336,10 +333,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--steps": {"type": int, "default": 4000},
     "--lr": {"type": float, "default": 3e-3},
     "--out": {"required": True, "help": "checkpoint output path"},
-    "--mode": {"choices": ["pipeline", "local", "eavesdropper", "remnant"], "default": "local"},
-    "--transport": {"choices": ["sim", "socket"], "default": "sim"},
-    "--connect": {"help": "HOST:PORT of a serving middle shard"},
-    "--save-capture": {"action": "store_true"},
+    "--connect": {"help": "HOST:PORT of a serving middle shard; in process without it"},
     "--host": {"default": "127.0.0.1"},
     "--port": {"type": int, "default": 0},
     "--omega-grid": {"help": "comma-separated omegas"},
@@ -357,9 +351,6 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--max-new-tokens": {"type": int},
     "--seed": {"type": int, "help": "train: weights and batches; otherwise sampling"},
 }
-
-_SETTINGS = ["--config", "--layer-range", "--omega", "--phead", "--ptail",
-             "--greedy", "--max-new-tokens", "--seed"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", cmd_train, "train the bundled toy model",
             ["--corpus", "--corpus-lines", "--corpus-seed", "--steps", "--lr", "--seed", "--out"],
             seed=0)
-    command("generate", cmd_generate, "decode one prompt under a scenario",
-            ["--checkpoint", "--prompt", "--mode", "--transport", "--connect", "--out-dir",
-             "--save-capture", *_SETTINGS])
+    command("generate", cmd_generate, "run one session and score every scenario",
+            ["--checkpoint", "--prompt", "--connect", "--out-dir", "--config", "--layer-range",
+             "--omega", "--phead", "--ptail", "--greedy", "--max-new-tokens", "--seed"])
     command("serve", cmd_serve, "serve a middle shard over TCP",
             ["--checkpoint", "--host", "--port", "--config", "--layer-range", "--ptail"])
     command("sweep", cmd_sweep, "grid-sweep hyperparameters",
@@ -393,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("analyze", cmd_analyze, "spectrum and communication reports",
             ["--checkpoint", "--prompts", "--prompt-seed", "--prompt-len", "--tail-q",
              "--out-dir"], prompts=10)
-    command("report", cmd_report, "full scenario comparison for one prompt",
-            ["--checkpoint", "--prompt", "--out-dir", *_SETTINGS])
     return parser
 
 

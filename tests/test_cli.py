@@ -6,15 +6,15 @@ import threading
 import numpy as np
 import pytest
 
-from pfid.adversary import AdversaryMode
+from pfid.adversary import AdversaryMode, remnant_generate
 from pfid.checkpoint import load_model, save_middle, save_model
 from pfid.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, main
 from pfid.corpus import heldout_prompts
-from pfid.metrics import bleu, token_agreement
+from pfid.metrics import bleu, build_eval_report, token_agreement
 from pfid.model import ModelConfig, SamplingParams, init_model
 from pfid.linalg import ratio_to_rank
-from pfid.protocol import (PfidConfig, max_request_bytes, packet_bytes_for, run_local_sim,
-                           serve_middle)
+from pfid.protocol import (PfidConfig, decode_packet, max_request_bytes, packet_bytes_for,
+                           run_local_sim, serve_middle)
 from pfid.shard import ShardSpec, split
 from pfid.tokenizer import ascii96
 from pfid.transport import SocketTransport, TcpServer
@@ -30,6 +30,10 @@ def checkpoint(tmp_path):
     return path
 
 
+# the settings that generate() passes
+GENERATE_CONFIG = PfidConfig(spec=ShardSpec(1, 2), sampling=SamplingParams(max_new_tokens=4))
+
+
 def generate(checkpoint, out_dir, *extra):
     return main(["generate", "--checkpoint", str(checkpoint), "--prompt", "hello",
                  "--layer-range", "1,2", "--max-new-tokens", "4",
@@ -38,15 +42,15 @@ def generate(checkpoint, out_dir, *extra):
 
 def test_generate_in_sim_mode_exits_0(checkpoint, tmp_path):
     assert generate(checkpoint, tmp_path / "out") == EXIT_OK
-    assert (tmp_path / "out" / "trace_local.json").is_file()
+    for name in ("traces.json", "report.json", "capture.pfidcap", "manifest.json"):
+        assert (tmp_path / "out" / name).is_file()
 
 
 def test_closed_port_exits_3(checkpoint, tmp_path):
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
-    code = generate(checkpoint, tmp_path, "--transport", "socket",
-                    "--connect", f"127.0.0.1:{port}")
+    code = generate(checkpoint, tmp_path, "--connect", f"127.0.0.1:{port}")
     assert code == EXIT_TRANSPORT
 
 
@@ -60,8 +64,7 @@ def test_bad_magic_reply_exits_4(checkpoint, tmp_path):
 
     server = TcpServer(reply_bad_magic).start()
     try:
-        code = generate(checkpoint, tmp_path, "--transport", "socket",
-                        "--connect", f"{server.host}:{server.port}")
+        code = generate(checkpoint, tmp_path, "--connect", f"{server.host}:{server.port}")
     finally:
         server.stop()
     assert code == EXIT_PROTOCOL
@@ -95,7 +98,7 @@ def test_reply_longer_than_the_model_allows_exits_3(checkpoint, tmp_path, capsys
         stand_in = threading.Thread(target=answer_oversize)
         stand_in.start()
         try:
-            code = generate(checkpoint, tmp_path, "--transport", "socket",
+            code = generate(checkpoint, tmp_path,
                             "--connect", f"127.0.0.1:{listener.getsockname()[1]}")
         finally:
             stand_in.join(timeout=30)
@@ -119,24 +122,34 @@ def test_config_file_value_of_the_wrong_json_type_exits_2(checkpoint, tmp_path, 
 
 
 def test_socket_and_sim_runs_write_the_same_trace_and_capture(checkpoint, tmp_path):
-    """The same flags as `generate`; the server serves the same middle."""
-    config = PfidConfig(spec=ShardSpec(1, 2), sampling=SamplingParams(max_new_tokens=4))
-    middle = split(load_model(checkpoint), config.spec).middle()
-    modes = ("local", "eavesdropper", "remnant")
-    server = TcpServer(lambda t: serve_middle(middle, t, config)).start()
+    """The same flags as `generate`; the server serves the same middle. A
+    session over TCP is traced, scored and captured byte for byte as one in
+    process."""
+    middle = split(load_model(checkpoint), GENERATE_CONFIG.spec).middle()
+    server = TcpServer(lambda t: serve_middle(middle, t, GENERATE_CONFIG)).start()
     try:
-        over_socket = [generate(checkpoint, tmp_path / "socket" / mode, "--mode", mode,
-                                "--save-capture", "--transport", "socket",
-                                "--connect", f"{server.host}:{server.port}")
-                       for mode in modes]
+        over_socket = generate(checkpoint, tmp_path / "socket",
+                               "--connect", f"{server.host}:{server.port}")
     finally:
         server.stop()
-    for mode, code in zip(modes, over_socket):
-        assert code == generate(checkpoint, tmp_path / "sim" / mode, "--mode", mode,
-                                "--save-capture") == EXIT_OK
-        for name in (f"trace_{mode}.json", "capture.pfidcap"):
-            assert ((tmp_path / "socket" / mode / name).read_bytes()
-                    == (tmp_path / "sim" / mode / name).read_bytes())
+    assert over_socket == generate(checkpoint, tmp_path / "sim") == EXIT_OK
+    for name in ("traces.json", "report.json", "capture.pfidcap"):
+        assert (tmp_path / "socket" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes()
+
+
+def test_capture_file_holds_the_session_packets_in_wire_order(checkpoint, tmp_path):
+    assert generate(checkpoint, tmp_path) == EXIT_OK
+    data = (tmp_path / "capture.pfidcap").read_bytes()
+    records, offset = [], 0
+    while offset < len(data):
+        (length,) = struct.unpack_from("<I", data, offset)
+        record = data[offset + 4:offset + 4 + length]
+        assert len(record) == length
+        decode_packet(record)
+        records.append(record)
+        offset += 4 + length
+    sim = run_local_sim(load_model(checkpoint), ascii96(), GENERATE_CONFIG, "hello")
+    assert records == sim.capture
 
 
 def old_sweep_row(model, config, prompts):
@@ -195,30 +208,51 @@ def test_sweep_rows_match_the_old_sweep_scoring(checkpoint, tmp_path):
 
 
 def test_report_writes_the_output_gap(checkpoint, tmp_path):
-    code = main(["report", "--checkpoint", str(checkpoint), "--prompt", "hello",
-                 "--layer-range", "1,2", "--max-new-tokens", "4", "--out-dir", str(tmp_path)])
-    assert code == EXIT_OK
+    assert generate(checkpoint, tmp_path) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {"scenarios", "output_gap", "comm_ratio"}
     assert set(report["output_gap"]) == {mode.value for mode in AdversaryMode}
+    assert set(report["scenarios"]) == {"pipeline", "local", "remnant",
+                                        *(f"eavesdropper:{m.value}" for m in AdversaryMode)}
+    traces = json.loads((tmp_path / "traces.json").read_text())
+    assert set(traces) == set(report["scenarios"])
+    model = load_model(checkpoint)
+    sim = run_local_sim(model, ascii96(), GENERATE_CONFIG, "hello")
+    remnant = remnant_generate(split(model, GENERATE_CONFIG.spec), sim.local, sim.capture,
+                               ascii96())
+    assert traces["local"] == sim.local.to_dict()
+    assert traces["remnant"] == remnant.to_dict()
+    assert report == build_eval_report(sim.pipeline, sim.local, sim.eavesdroppers,
+                                       remnant=remnant, comm_ratio=sim.comm_ratio)
+
+
+def test_report_is_no_longer_a_command(checkpoint, tmp_path):
+    with pytest.raises(SystemExit) as refused:
+        main(["report", "--checkpoint", str(checkpoint), "--prompt", "hello",
+              "--out-dir", str(tmp_path)])
+    assert refused.value.code == 2
 
 
 UNREAD_FLAGS = {
+    "generate": ["--mode", "--transport", "--save-capture"],
     "serve": ["--omega", "--phead", "--greedy", "--max-new-tokens", "--seed"],
     "sweep": ["--layer-range", "--omega", "--phead", "--ptail"],
     "analyze": ["--config", "--layer-range", "--omega", "--phead", "--ptail", "--greedy",
                 "--max-new-tokens", "--seed"],
 }
 FLAG_VALUES = {"--config": "c.json", "--layer-range": "1,2", "--max-new-tokens": "4",
-               "--seed": "1", "--greedy": None}
+               "--seed": "1", "--greedy": None, "--mode": "local", "--transport": "sim",
+               "--save-capture": None}
 
 
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags
 ])
-def test_commands_refuse_the_flags_they_do_not_read(checkpoint, command, flag):
+def test_commands_refuse_the_flags_they_do_not_read(checkpoint, tmp_path, command, flag):
     value = FLAG_VALUES.get(flag, "0.5")
     argv = [command, "--checkpoint", str(checkpoint), flag] + ([value] if value else [])
+    if command == "generate":  # its other required flag, and a place to write were it to run
+        argv += ["--prompt", "hello", "--out-dir", str(tmp_path)]
     with pytest.raises(SystemExit) as refused:
         main(argv)
     assert refused.value.code == 2
@@ -231,6 +265,38 @@ def test_serve_refuses_a_role_1_checkpoint(checkpoint, tmp_path):
     struct.pack_into("<I", data, 12, 1)  # the role field of the header
     retired.write_bytes(bytes(data))
     assert main(["serve", "--checkpoint", str(retired)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags, code", [
+    ([], EXIT_OK),
+    (["--layer-range", "2,3"], EXIT_OK),
+    (["--layer-range", "1,2"], EXIT_CONFIG),
+])
+def test_serve_refuses_a_layer_range_other_than_the_middle_exports(tmp_path, monkeypatch, capsys,
+                                                                   flags, code):
+    # serve returns once it is listening, instead of serving until interrupted
+    monkeypatch.setattr(TcpServer, "serve_forever", lambda self: None)
+    four_layers = ModelConfig(n_layers=4, d_model=16, n_heads=2, d_ff=32, vocab_size=96,
+                              max_seq=40, seed=1)
+    middle = tmp_path / "middle.ckpt"
+    save_middle(middle, split(init_model(four_layers), ShardSpec(2, 3)))
+    assert main(["serve", "--checkpoint", str(middle), "--port", "0", *flags]) == code
+    if code == EXIT_CONFIG:
+        assert ("--layer-range 1,2 differs from the middle export's split 2,3"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_refuses_a_port_outside_0_to_65535(checkpoint, capsys, port):
+    assert main(["serve", "--checkpoint", str(checkpoint), "--port", port]) == EXIT_CONFIG
+    assert "0-65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("address", ["127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1"])
+def test_generate_refuses_a_connect_port_outside_1_to_65535(checkpoint, tmp_path, capsys,
+                                                             address):
+    assert generate(checkpoint, tmp_path, "--connect", address) == EXIT_CONFIG
+    assert "1-65535" in capsys.readouterr().err
 
 
 def test_analyze_writes_spectra_and_the_comm_table(checkpoint, tmp_path):
