@@ -5,7 +5,7 @@ a run manifest (`manifest.json`) next to its outputs:
 
 - `train` trains the toy model and writes a checkpoint;
 - `generate` runs one session on one prompt and scores every scenario;
-- `serve` serves the middle shard over TCP;
+- `serve` splits a full-model checkpoint and serves its middle shard over TCP;
 - `sweep` scores held-out prompts over a grid of settings;
 - `analyze` writes per-layer spectra and the communication table.
 
@@ -185,15 +185,7 @@ def cmd_serve(args) -> int:
     if not 0 <= args.port <= 65535:
         raise ConfigError(f"--port must be in 0-65535, got {args.port}")
     config = _load_config(args)
-    if ckpt.checkpoint_role(args.checkpoint) == ckpt.ROLE_MIDDLE:
-        middle = ckpt.load_middle(args.checkpoint)
-        if args.layer_range and config.spec != middle.spec:
-            theirs, ours = config.spec, middle.spec
-            raise ConfigError(
-                f"--layer-range {theirs.split_k},{theirs.split_n} differs from the middle "
-                f"export's split {ours.split_k},{ours.split_n}")
-    else:  # the full model; checkpoint_role refuses any other role
-        middle = split(ckpt.load_model(args.checkpoint), config.spec).middle()
+    middle = split(ckpt.load_model(args.checkpoint), config.spec).middle()
     server = TcpServer(lambda t: serve_middle(middle, t, config), host=args.host, port=args.port,
                        max_frame=max_request_bytes(middle.config))
     print(f"serving middle shard on {server.host}:{server.port}")
@@ -320,8 +312,7 @@ def cmd_analyze(args) -> int:
 # Every flag, declared once. Each command attaches the flags it reads and
 # sets its own defaults (build_parser).
 _FLAGS: dict[str, dict[str, Any]] = {
-    "--checkpoint": {"required": True,
-                     "help": "full-model checkpoint; serve also takes a middle export"},
+    "--checkpoint": {"required": True, "help": "full-model checkpoint"},
     "--prompt": {"required": True},
     "--prompts": {"type": int, "help": "number of held-out prompts"},
     "--prompt-seed": {"type": int, "default": 9876},

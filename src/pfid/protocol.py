@@ -541,27 +541,31 @@ def run_local_sim(
     Without a transport the middle answers each request in the caller's
     thread, through the same request handler `serve_middle` uses; with one
     (a client connection to a serving middle shard) the client runs over
-    it, and it is closed when the session ends.
+    it, and it is closed when the session ends, or when the run is refused.
+    A prompt that fills max_seq is refused with a ValueError.
     """
     from .adversary import AdversaryMode, eavesdrop_generate
 
-    sharded = split(model, config.spec)
-    pipeline = pipeline_generate(
-        model, tokenizer.encode(prompt), config.sampling, eos_id=tokenizer.eos_id
-    )
-    pipeline.prompt = prompt
-    pipeline.set_text(tokenizer)
-
-    if transport is None:
-        transport = _InlineServer(sharded.middle(), config)
     capture: list[bytes] = []
     try:
+        sharded = split(model, config.spec)
+        prompt_ids = tokenizer.encode(prompt)
+        if len(prompt_ids) >= model.config.max_seq:
+            raise ValueError(f"the prompt's {len(prompt_ids)} tokens leave no room for a new "
+                             f"one within max_seq {model.config.max_seq}")
+        pipeline = pipeline_generate(model, prompt_ids, config.sampling, eos_id=tokenizer.eos_id)
+        pipeline.prompt = prompt
+        pipeline.set_text(tokenizer)
+
+        if transport is None:
+            transport = _InlineServer(sharded.middle(), config)
         local = client_generate(
             sharded.client(), tokenizer, CapturingTransport(transport, capture),
             config, prompt,
         )
     finally:
-        transport.close()
+        if transport is not None:
+            transport.close()
 
     eavesdroppers = {
         mode.value: eavesdrop_generate(

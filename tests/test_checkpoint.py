@@ -3,18 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from pfid.checkpoint import (
-    CheckpointError,
-    ROLE_FULL,
-    ROLE_MIDDLE,
-    checkpoint_role,
-    load_middle,
-    load_model,
-    save_middle,
-    save_model,
-)
+from pfid.checkpoint import CheckpointError, load_model, save_model
 from pfid.model import ModelConfig, init_model
-from pfid.shard import ShardSpec, head_forward, middle_forward, split, tail_forward
 
 
 @pytest.fixture
@@ -40,51 +30,22 @@ def test_save_is_byte_deterministic(tmp_path, model):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def role_1_file(tmp_path, model):
-    """A middle export whose role byte says 1, the retired client export."""
-    path = tmp_path / "r1.ckpt"
-    save_middle(path, split(model, ShardSpec(1, 3)))
+def with_role(tmp_path, model, role):
+    """A full checkpoint whose role field is patched to `role`."""
+    path = tmp_path / f"r{role}.ckpt"
+    save_model(path, model)
     data = bytearray(path.read_bytes())
-    struct.pack_into("<I", data, 12, 1)
+    struct.pack_into("<I", data, 12, role)
     path.write_bytes(bytes(data))
     return path
 
 
 def test_roles(tmp_path, model):
-    sharded = split(model, ShardSpec(1, 3))
-    full, middle = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
-    save_model(full, model)
-    save_middle(middle, sharded)
-    assert checkpoint_role(full) == ROLE_FULL
-    assert checkpoint_role(middle) == ROLE_MIDDLE
-    with pytest.raises(CheckpointError, match="role"):
-        load_model(middle)
-    with pytest.raises(CheckpointError, match="role"):
-        load_middle(full)
-    retired = role_1_file(tmp_path, model)
-    for load in (checkpoint_role, load_model, load_middle):
-        with pytest.raises(CheckpointError, match="unknown shard role 1"):
-            load(retired)
-
-
-def test_shard_exports_compose_like_the_full_model(tmp_path, model):
-    """The middle export must reproduce the round-tripped full model's
-    sharded forward exactly (all paths see the same binary32 weights)."""
-    sharded = split(model, ShardSpec(1, 3))
-    full, middle_p = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
-    save_model(full, model)
-    save_middle(middle_p, sharded)
-
-    reference = split(load_model(full), ShardSpec(1, 3))
-    client, middle = reference.client(), load_middle(middle_p)
-
-    tokens = [3, 1, 4, 1, 5]
-    h_ref = head_forward(reference, tokens)
-    h = head_forward(client, tokens)
-    assert np.array_equal(h, h_ref)
-    hm = middle_forward(middle, h)
-    assert np.array_equal(hm, middle_forward(reference, h_ref))
-    assert np.array_equal(tail_forward(client, hm), tail_forward(reference, hm))
+    """Only the full model (role 0) loads: not the retired client (1) or
+    middle (2) exports."""
+    for role in (1, 2):
+        with pytest.raises(CheckpointError, match=f"unknown checkpoint role {role}"):
+            load_model(with_role(tmp_path, model, role))
 
 
 def test_bad_magic_rejected(tmp_path, model):
@@ -115,38 +76,44 @@ def test_short_header_rejected(tmp_path):
 LAYER_TENSORS = ("wq", "wk", "wv", "wo", "w1", "w2", "g_attn", "g_ff")
 
 
-def expected_export(model, role, k, n, layer_ids, ends):
+def expected_export(model):
     """The documented file layout, built here from the format description:
-    a 56-byte little-endian header, then each tensor as <f4 in order."""
+    a 56-byte little-endian header (role and split 0), then each tensor as
+    <f4 in order."""
     c = model.config
-    header = struct.pack("<8s10IQ", b"PFIDMDL1", 1, role, k, n, c.n_layers, c.d_model,
+    header = struct.pack("<8s10IQ", b"PFIDMDL1", 1, 0, 0, 0, c.n_layers, c.d_model,
                          c.n_heads, c.d_ff, c.vocab_size, c.max_seq, c.seed)
     assert len(header) == 56
-    arrays = [model.embedding, model.pos] if ends else []
-    for i in layer_ids:
-        arrays += [getattr(model.layers[i], name) for name in LAYER_TENSORS]
-    arrays += [model.g_final, model.lm_head] if ends else []
+    arrays = [model.embedding, model.pos]
+    for layer in model.layers:
+        arrays += [getattr(layer, name) for name in LAYER_TENSORS]
+    arrays += [model.g_final, model.lm_head]
     return header + b"".join(np.asarray(a, dtype="<f4").tobytes() for a in arrays)
 
 
 def test_export_bytes_follow_the_documented_layout(tmp_path, model):
-    sharded = split(model, ShardSpec(1, 3))
-    full, middle = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
+    full = tmp_path / "f.ckpt"
     save_model(full, model)
-    save_middle(middle, sharded)
-    assert full.read_bytes() == expected_export(model, ROLE_FULL, 0, 0, range(4), True)
-    assert middle.read_bytes() == expected_export(model, ROLE_MIDDLE, 1, 3, [1, 2], False)
+    assert full.read_bytes() == expected_export(model)
 
 
-def test_loaded_roles_hold_only_their_weights(tmp_path, model):
-    sharded = split(model, ShardSpec(1, 3))
-    full_p, middle_p = tmp_path / "f.ckpt", tmp_path / "m.ckpt"
-    save_model(full_p, model)
-    save_middle(middle_p, sharded)
-    full, middle = load_model(full_p), load_middle(middle_p)
-    assert middle.spec == ShardSpec(1, 3)
-    assert [lw is None for lw in full.layers] == [False] * 4
-    assert [lw is None for lw in middle.layers] == [True, False, False, True]
-    assert middle.embedding is None and middle.pos is None
-    assert middle.g_final is None and middle.lm_head is None
+def test_header_larger_than_the_file_is_refused_before_any_read(tmp_path):
+    """A forged header asks for 2^52-element matrices: the size check
+    refuses the file instead of allocating for its first tensor."""
+    big = 2**26
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(struct.pack("<8s10IQ", b"PFIDMDL1", 1, 0, 0, 0, 3, big, 1, big, big,
+                                 big, 0))
+    expected = 56 + 4 * (big * big * 2 + 3 * (6 * big * big + 2 * big) + big + big * big)
+    with pytest.raises(CheckpointError,
+                       match=f"truncated: the file holds 56 bytes, .* takes {expected}$"):
+        load_model(path)
 
+
+def test_trailing_bytes_are_refused(tmp_path, model):
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + bytes(64))
+    with pytest.raises(CheckpointError, match=f"holds {size + 64} bytes, .* takes {size}$"):
+        load_model(path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pfid.adversary import AdversaryMode, remnant_generate
-from pfid.checkpoint import load_model, save_middle, save_model
+from pfid.checkpoint import load_model, save_model
 from pfid.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, main
 from pfid.corpus import heldout_prompts
 from pfid.metrics import bleu, build_eval_report, token_agreement
@@ -258,32 +258,50 @@ def test_commands_refuse_the_flags_they_do_not_read(checkpoint, tmp_path, comman
     assert refused.value.code == 2
 
 
-def test_serve_refuses_a_role_1_checkpoint(checkpoint, tmp_path):
-    retired = tmp_path / "role1.ckpt"
-    save_middle(retired, split(load_model(checkpoint), ShardSpec(1, 2)))
-    data = bytearray(retired.read_bytes())
-    struct.pack_into("<I", data, 12, 1)  # the role field of the header
-    retired.write_bytes(bytes(data))
-    assert main(["serve", "--checkpoint", str(retired)]) == EXIT_CONFIG
+def test_serve_refuses_a_role_1_checkpoint(checkpoint, tmp_path, capsys):
+    """Nor the retired middle export's role 2: serve splits the full model."""
+    for role in (1, 2):
+        retired = tmp_path / f"role{role}.ckpt"
+        data = bytearray(checkpoint.read_bytes())
+        struct.pack_into("<I", data, 12, role)  # the role field of the header
+        retired.write_bytes(bytes(data))
+        assert main(["serve", "--checkpoint", str(retired)]) == EXIT_CONFIG
+        assert f"unknown checkpoint role {role}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, code", [
     ([], EXIT_OK),
     (["--layer-range", "2,3"], EXIT_OK),
-    (["--layer-range", "1,2"], EXIT_CONFIG),
 ])
 def test_serve_refuses_a_layer_range_other_than_the_middle_exports(tmp_path, monkeypatch, capsys,
                                                                    flags, code):
+    """serve takes a full checkpoint with or without --layer-range: it
+    splits the model itself, so no second split can disagree."""
     # serve returns once it is listening, instead of serving until interrupted
     monkeypatch.setattr(TcpServer, "serve_forever", lambda self: None)
-    four_layers = ModelConfig(n_layers=4, d_model=16, n_heads=2, d_ff=32, vocab_size=96,
-                              max_seq=40, seed=1)
-    middle = tmp_path / "middle.ckpt"
-    save_middle(middle, split(init_model(four_layers), ShardSpec(2, 3)))
-    assert main(["serve", "--checkpoint", str(middle), "--port", "0", *flags]) == code
-    if code == EXIT_CONFIG:
-        assert ("--layer-range 1,2 differs from the middle export's split 2,3"
-                in capsys.readouterr().err)
+    six_layers = ModelConfig(n_layers=6, d_model=16, n_heads=2, d_ff=32, vocab_size=96,
+                             max_seq=40, seed=1)  # the default split (3, 5) fits
+    full = tmp_path / "full.ckpt"
+    save_model(full, init_model(six_layers))
+    assert main(["serve", "--checkpoint", str(full), "--port", "0", *flags]) == code
+    assert "serving middle shard" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("over_tcp", [False, True])
+def test_prompt_that_fills_the_context_exits_2(checkpoint, tmp_path, capsys, over_tcp):
+    """A prompt of max_seq tokens leaves no step to run; generate names the
+    count and the limit instead of failing on an empty trace."""
+    middle = split(load_model(checkpoint), GENERATE_CONFIG.spec).middle()
+    server = TcpServer(lambda t: serve_middle(middle, t, GENERATE_CONFIG)).start()
+    extra = ["--connect", f"{server.host}:{server.port}"] if over_tcp else []
+    try:
+        code = main(["generate", "--checkpoint", str(checkpoint), "--prompt", "x" * SMALL.max_seq,
+                     "--layer-range", "1,2", "--out-dir", str(tmp_path), *extra])
+    finally:
+        server.stop()
+    assert code == EXIT_CONFIG
+    assert "prompt's 40 tokens leave no room for a new one within max_seq 40" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("port", ["70000", "-1"])
