@@ -4,12 +4,14 @@ Layout: magic "PFIDMDL1", a fixed header (version, role, two split fields,
 model config), then the weight matrices in `param_slots` order as
 little-endian binary32. The file holds the whole model: role, split_k and
 split_n are written as 0, and any other role is refused. `pfid serve`
-splits the loaded model itself.
+splits the loaded model itself. A file whose size is not the one its header
+describes, or that holds a non-finite weight, is refused.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from pathlib import Path
@@ -30,25 +32,6 @@ _HEADER = struct.Struct("<8sIIIIIIIIIIQ")
 
 class CheckpointError(Exception):
     pass
-
-
-def _layout(cfg: ModelConfig) -> TransformerModel:
-    """A model with shape-only placeholder weights. Its param_slots() order
-    is the file order: embedding, pos, each layer, g_final, lm_head."""
-    d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    layer_shapes = [(d, d), (d, d), (d, d), (d, d), (d, f), (f, d), (d,), (d,)]
-
-    def blank(shape):
-        return np.broadcast_to(0.0, shape)
-
-    return TransformerModel(
-        config=cfg,
-        embedding=blank((v, d)),
-        pos=blank((cfg.max_seq, d)),
-        layers=[LayerWeights(*map(blank, layer_shapes)) for _ in range(cfg.n_layers)],
-        g_final=blank((d,)),
-        lm_head=blank((d, v)),
-    )
 
 
 def save_model(path: str | Path, model: TransformerModel) -> None:
@@ -80,23 +63,33 @@ def load_model(path: str | Path) -> TransformerModel:
         if role != 0:
             raise CheckpointError(f"unknown checkpoint role {role}; only the full model "
                                   "(role 0) loads")
-        model = _layout(ModelConfig(
-            n_layers=n_layers, d_model=d, n_heads=heads, d_ff=dff,
-            vocab_size=vocab, max_seq=max_seq, seed=seed,
-        ))
-        slots = model.param_slots().values()
-        # checked before any read, so a forged header cannot ask for more
-        # memory than the file holds
+        cfg = ModelConfig(n_layers=n_layers, d_model=d, n_heads=heads, d_ff=dff,
+                          vocab_size=vocab, max_seq=max_seq, seed=seed)
+        # tensor shapes in file order, with a layer's in LayerWeights order
+        embedding, pos, g_final, lm_head = (vocab, d), (max_seq, d), (d,), (d, vocab)
+        layer = [(d, d)] * 4 + [(d, dff), (dff, d), (d,), (d,)]
+        # checked before any tensor is read, so a forged header cannot ask for
+        # more memory than the file holds
         size = os.fstat(fh.fileno()).st_size
-        expected = _HEADER.size + 4 * sum(getattr(*slot).size for slot in slots)
+        expected = _HEADER.size + 4 * (sum(map(math.prod, (embedding, pos, g_final, lm_head)))
+                                       + n_layers * sum(map(math.prod, layer)))
         if size != expected:
             fault = "truncated" if size < expected else "has trailing bytes"
             raise CheckpointError(f"checkpoint {fault}: the file holds {size} bytes, "
                                   f"its header's model takes {expected}")
-        for owner, attr in slots:
-            blank = getattr(owner, attr)
-            weights = np.frombuffer(fh.read(4 * blank.size), dtype="<f4").astype(np.float64)
-            setattr(owner, attr, weights.reshape(blank.shape))
+
+        def read(shape):  # the next tensor in the file
+            words = np.frombuffer(fh.read(4 * math.prod(shape)), dtype="<f4")
+            return words.astype(np.float64).reshape(shape)
+
+        model = TransformerModel(cfg, read(embedding), read(pos),
+                                 [LayerWeights(*map(read, layer)) for _ in range(n_layers)],
+                                 read(g_final), read(lm_head))
+    # checked once every tensor is in place, so that no temporary lands
+    # between them on the heap
+    for name, weights in model.param_tensors().items():
+        if not np.isfinite(weights).all():
+            raise CheckpointError(f"checkpoint tensor {name} holds non-finite weights")
     return model
 
 

@@ -23,7 +23,7 @@ middle answers each request in the caller's thread, or over a TCP
 connection to `pfid serve` when `--connect HOST:PORT` is given. Both give
 the same bytes. It writes to `--out-dir`:
 
-- `traces.json`, each scenario's trace keyed by its label: `pipeline`,
+- `traces.json`, each scenario's trace keyed by its mode: `pipeline`,
   `local`, `eavesdropper:<mode>` and `remnant`;
 - `report.json`, `build_eval_report`'s scores of those scenarios against
   the pipeline and the output gap, the local client's score minus an
@@ -32,7 +32,10 @@ the same bytes. It writes to `--out-dir`:
   by its length as a little-endian u32.
 
 It prints the score table. `sweep` scores its sessions the same way,
-without the remnant, and writes the mean of each setting's reports.
+without the remnant, and writes the mean of each setting's reports. It
+checks its whole grid first: every point's settings and split, and every
+prompt's length against the model's max_seq. A bad value anywhere exits 2
+before the first session runs and before `--out-dir` is created.
 
 Exit codes: 0 success, 2 config error, 3 transport error, 4 protocol error,
 1 anything else.
@@ -48,6 +51,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 from typing import Any
 
@@ -59,8 +64,8 @@ from .corpus import build_corpus, heldout_prompts
 from .linalg import ratio_to_rank
 from .metrics import build_eval_report, spectra_report
 from .model import ModelConfig, init_model
-from .protocol import (PfidConfig, ProtocolError, max_request_bytes, packet_bytes_for,
-                       run_local_sim, serve_middle)
+from .protocol import (PfidConfig, ProtocolError, check_prompt_fits, max_request_bytes,
+                       packet_bytes_for, run_local_sim, serve_middle)
 from .shard import ShardSpec, split
 from .tokenizer import ascii96
 from .training import train
@@ -157,15 +162,10 @@ def cmd_generate(args) -> int:
         transport = connect_tcp(host, int(port), max_frame=max_request_bytes(model.config))
     sim = run_local_sim(model, tokenizer, config, args.prompt, transport)
     remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tokenizer)
-    report = build_eval_report(
-        sim.pipeline, sim.local, sim.eavesdroppers, remnant=remnant,
-        comm_ratio=sim.comm_ratio,
-    )
-    traces = {"pipeline": sim.pipeline, "local": sim.local, "remnant": remnant,
-              **{f"eavesdropper:{mode}": t for mode, t in sim.eavesdroppers.items()}}
+    report = build_eval_report(sim, remnant)
+    traces = [sim.pipeline, sim.local, *sim.eavesdroppers.values(), remnant]
     traces_path = out_dir / "traces.json"
-    traces_path.write_text(json.dumps(
-        {name: traces[name].to_dict() for name in report["scenarios"]}, indent=2) + "\n")
+    traces_path.write_text(json.dumps({t.mode: t.to_dict() for t in traces}, indent=2) + "\n")
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     capture_path = out_dir / "capture.pfidcap"
@@ -204,59 +204,44 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     tokenizer = ascii96()
     model = ckpt.load_model(args.checkpoint)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prompts = heldout_prompts(args.prompts, seed=args.prompt_seed, prompt_len=args.prompt_len)
 
-    def parse_grid(text, cast=float):
-        return [cast(x) for x in text.split(",")] if text else None
+    def parse_grid(text, default):
+        return [float(x) for x in text.split(",")] if text else [default]
 
-    omegas = parse_grid(args.omega_grid) or [config.omega]
-    pheads = parse_grid(args.phead_grid) or [config.phead]
-    ptails = parse_grid(args.ptail_grid) or [config.ptail]
-    ranges = (
-        [_parse_layer_range(r) for r in args.layer_range_grid.split(";")]
-        if args.layer_range_grid else [config.spec]
-    )
+    specs = ([_parse_layer_range(r) for r in args.layer_range_grid.split(";")]
+             if args.layer_range_grid else [config.spec])
+    # the whole grid is checked before the first session runs
+    points = [replace(config, spec=s, omega=o, phead=p, ptail=t) for s, o, p, t in product(
+        specs, parse_grid(args.omega_grid, config.omega),
+        parse_grid(args.phead_grid, config.phead), parse_grid(args.ptail_grid, config.ptail))]
+    for point in points:
+        point.spec.validate(model.config.n_layers)
+    for prompt in prompts:
+        check_prompt_fits(tokenizer.encode(prompt), model.config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    base = config.to_dict()
-    for spec in ranges:
-        for omega in omegas:
-            for phead in pheads:
-                for ptail in ptails:
-                    doc = dict(base)
-                    doc.update({
-                        "layer_range": [spec.split_k, spec.split_n],
-                        "omega": omega, "phead": phead, "ptail": ptail,
-                    })
-                    cfg = PfidConfig.from_dict(doc)
-                    reports, sent, tokens = [], 0, 0
-                    for prompt in prompts:
-                        sim = run_local_sim(model, tokenizer, cfg, prompt)
-                        reports.append(build_eval_report(
-                            sim.pipeline, sim.local, sim.eavesdroppers,
-                            comm_ratio=sim.comm_ratio,
-                        ))
-                        sent += sim.wire_bytes
-                        tokens += len(sim.local.steps)
-                    row = _mean(reports)
-                    row.update({
-                        "bytes_per_token": sent / tokens if tokens else 0.0,
-                        "layer_range": f"{spec.split_k},{spec.split_n}",
-                        "omega": omega, "phead": phead, "ptail": ptail,
-                    })
-                    rows.append(row)
-                    local = row["scenarios"]["local"]
-                    eaves = row["scenarios"][f"eavesdropper:{_TAIL_ONLY}"]
-                    print(
-                        f"range=({spec.split_k},{spec.split_n}) omega={omega} "
-                        f"phead={phead} ptail={ptail} | "
-                        f"local_agr={local['token_agreement']:.3f} "
-                        f"eaves_agr={eaves['token_agreement']:.3f} "
-                        f"gap={row['output_gap'][_TAIL_ONLY]['token_agreement']:+.3f} "
-                        f"bytes/tok={row['bytes_per_token']:.0f}"
-                    )
+    for point in points:
+        reports, sent, tokens = [], 0, 0
+        for prompt in prompts:
+            sim = run_local_sim(model, tokenizer, point, prompt)
+            reports.append(build_eval_report(sim))
+            sent += sim.wire_bytes
+            tokens += len(sim.local.steps)
+        layer_range = f"{point.spec.split_k},{point.spec.split_n}"
+        row = _mean(reports)
+        row.update({"bytes_per_token": sent / tokens, "layer_range": layer_range,
+                    "omega": point.omega, "phead": point.phead, "ptail": point.ptail})
+        rows.append(row)
+        local = row["scenarios"]["local"]
+        eaves = row["scenarios"][f"eavesdropper:{_TAIL_ONLY}"]
+        print(f"range=({layer_range}) omega={point.omega} phead={point.phead} "
+              f"ptail={point.ptail} | local_agr={local['token_agreement']:.3f} "
+              f"eaves_agr={eaves['token_agreement']:.3f} "
+              f"gap={row['output_gap'][_TAIL_ONLY]['token_agreement']:+.3f} "
+              f"bytes/tok={row['bytes_per_token']:.0f}")
     table_path = out_dir / "sweep.json"
     table_path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, "sweep", config, args.checkpoint,

@@ -9,6 +9,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .model import TransformerModel, embed, forward_layers
+from .protocol import SimResult
 from .trace import GenerationTrace
 
 __all__ = [
@@ -66,14 +67,10 @@ def bleu(candidate: str, reference: str, mode: str = "word") -> float:
     return float(100.0 * brevity * np.exp(log_sum))
 
 
-def _ids(x) -> list[int]:
-    return x.token_ids if isinstance(x, GenerationTrace) else list(x)
-
-
-def token_agreement(a, b) -> float:
+def token_agreement(a: GenerationTrace, b: GenerationTrace) -> float:
     """Fraction of agreeing positions; a length mismatch scales the score by
     min/max length, i.e. matches over the longer length."""
-    ids_a, ids_b = _ids(a), _ids(b)
+    ids_a, ids_b = a.token_ids, b.token_ids
     if not ids_a or not ids_b:
         raise ValueError("traces must be nonempty")
     m = min(len(ids_a), len(ids_b))
@@ -156,37 +153,30 @@ def _score(trace: GenerationTrace, pipeline: GenerationTrace) -> dict[str, float
     }
 
 
-def build_eval_report(
-    pipeline: GenerationTrace,
-    local: GenerationTrace,
-    eavesdroppers: dict[str, GenerationTrace],
-    remnant: GenerationTrace | None = None,
-    comm_ratio: float = float("nan"),
-) -> dict[str, Any]:
+def build_eval_report(sim: SimResult, remnant: GenerationTrace | None = None) -> dict[str, Any]:
     """Score one session against its pipeline baseline.
 
-    Returns {"scenarios": {label: {"bleu", "token_agreement",
+    Returns {"scenarios": {mode: {"bleu", "token_agreement",
     "mean_logit_kl"}}, "output_gap": {eavesdropper mode: {"bleu",
-    "token_agreement"}}, "comm_ratio": comm_ratio}. The scenario labels
-    are "pipeline", "local", "eavesdropper:<mode>" and, for a remnant with
-    steps, "remnant". The output gap is the local client's score minus the
-    eavesdropper's: how much better the client decodes than someone
-    replaying its traffic. It measures output agreement, not whether the
-    prompt can be read off the wire.
+    "token_agreement"}}, "comm_ratio": sim.comm_ratio}. Each scenario is
+    labelled by its trace's `mode`: "pipeline", "local",
+    "eavesdropper:<mode>" and, when a remnant is given, "remnant". The
+    output gap is the local client's score minus the eavesdropper's: how
+    much better the client decodes than someone replaying its traffic. It
+    measures output agreement, not whether the prompt can be read off the
+    wire.
 
     When the pipeline decoded no text (its first token was the
     end-of-sequence token), BLEU has no reference and is 0 for every
     scenario; `sweep` still counts that prompt in its means.
     """
-    scenarios = {"pipeline": _score(pipeline, pipeline),
-                 "local": _score(local, pipeline)}
-    for name, trace in eavesdroppers.items():
-        scenarios[f"eavesdropper:{name}"] = _score(trace, pipeline)
-    if remnant is not None and remnant.steps:
-        scenarios["remnant"] = _score(remnant, pipeline)
+    traces = [sim.pipeline, sim.local, *sim.eavesdroppers.values()]
+    if remnant is not None:
+        traces.append(remnant)
+    scenarios = {t.mode: _score(t, sim.pipeline) for t in traces}
+    local = scenarios[sim.local.mode]
     output_gap = {
-        name: {key: scenarios["local"][key] - scenarios[f"eavesdropper:{name}"][key]
-               for key in ("bleu", "token_agreement")}
-        for name in eavesdroppers
+        name: {key: local[key] - scenarios[t.mode][key] for key in ("bleu", "token_agreement")}
+        for name, t in sim.eavesdroppers.items()
     }
-    return {"scenarios": scenarios, "output_gap": output_gap, "comm_ratio": comm_ratio}
+    return {"scenarios": scenarios, "output_gap": output_gap, "comm_ratio": sim.comm_ratio}

@@ -81,6 +81,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.n_layers < 3:
             raise ValueError(f"n_layers must be >= 3 to admit a 3-way split, got {self.n_layers}")
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if min(self.d_ff, self.vocab_size, self.max_seq) < 1:

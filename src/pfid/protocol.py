@@ -82,6 +82,7 @@ __all__ = [
     "reprivatize",
     "client_generate",
     "serve_middle",
+    "check_prompt_fits",
     "run_local_sim",
     "comm_bytes",
     "packet_bytes_for",
@@ -527,6 +528,13 @@ class _InlineServer:
         pass
 
 
+def check_prompt_fits(prompt_ids: list[int], cfg: ModelConfig) -> None:
+    """Refuse a prompt that leaves no room for a new token within max_seq."""
+    if len(prompt_ids) >= cfg.max_seq:
+        raise ValueError(f"the prompt's {len(prompt_ids)} tokens leave no room for a new "
+                         f"one within max_seq {cfg.max_seq}")
+
+
 def run_local_sim(
     model: TransformerModel,
     tokenizer: Tokenizer,
@@ -550,9 +558,7 @@ def run_local_sim(
     try:
         sharded = split(model, config.spec)
         prompt_ids = tokenizer.encode(prompt)
-        if len(prompt_ids) >= model.config.max_seq:
-            raise ValueError(f"the prompt's {len(prompt_ids)} tokens leave no room for a new "
-                             f"one within max_seq {model.config.max_seq}")
+        check_prompt_fits(prompt_ids, model.config)
         pipeline = pipeline_generate(model, prompt_ids, config.sampling, eos_id=tokenizer.eos_id)
         pipeline.prompt = prompt
         pipeline.set_text(tokenizer)

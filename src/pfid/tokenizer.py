@@ -6,55 +6,33 @@ __all__ = ["Tokenizer", "ascii96"]
 
 # newline first so the end-of-sequence token is id 0
 _ASCII96 = "\n" + "".join(chr(c) for c in range(0x20, 0x7F))
+_IDS = {ch: i for i, ch in enumerate(_ASCII96)}
 
 
 class Tokenizer:
-    """Bijective char <-> id mapping over an ordered alphabet.
+    """Char <-> id mapping over 96 characters: newline, which is the
+    end-of-sequence token (id 0), then printable ASCII.
 
     encode(decode(ids)) and decode(encode(s)) are identities on in-alphabet
-    strings. With byte_fallback enabled, characters outside the alphabet are
-    replaced by '?' (total but lossy); otherwise they raise.
+    strings. encode replaces any other character by '?' (total but lossy).
     """
 
-    def __init__(self, alphabet: str = _ASCII96, byte_fallback: bool = True):
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet contains duplicate characters")
-        if not alphabet:
-            raise ValueError("alphabet must be nonempty")
-        self.alphabet = alphabet
-        self.byte_fallback = byte_fallback
-        self._char_to_id = {ch: i for i, ch in enumerate(alphabet)}
-        self._fallback_id = self._char_to_id.get("?")
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.alphabet)
-
-    @property
-    def eos_id(self) -> int:
-        """Terminator token: newline if present, else the last alphabet char."""
-        return self._char_to_id.get("\n", len(self.alphabet) - 1)
+    alphabet = _ASCII96
+    vocab_size = len(_ASCII96)
+    eos_id = 0
 
     def encode(self, text: str) -> list[int]:
-        ids = []
-        for ch in text:
-            tid = self._char_to_id.get(ch)
-            if tid is None:
-                if not self.byte_fallback or self._fallback_id is None:
-                    raise ValueError(f"character {ch!r} not in alphabet")
-                tid = self._fallback_id
-            ids.append(tid)
-        return ids
+        return [_IDS.get(ch, _IDS["?"]) for ch in text]
 
     def decode(self, ids: list[int]) -> str:
         out = []
         for tid in ids:
-            if not (0 <= tid < len(self.alphabet)):
-                raise ValueError(f"token id {tid} out of range 0..{len(self.alphabet) - 1}")
+            if not (0 <= tid < self.vocab_size):
+                raise ValueError(f"token id {tid} out of range 0..{self.vocab_size - 1}")
             out.append(self.alphabet[tid])
         return "".join(out)
 
 
 def ascii96() -> Tokenizer:
     """The default 96-character tokenizer: newline plus printable ASCII."""
-    return Tokenizer(_ASCII96, byte_fallback=True)
+    return Tokenizer()

@@ -16,7 +16,7 @@ import numpy as np
 from .model import GELU_A, GELU_C, TransformerModel, _rms_scale, _softmax_rows, layer_forward
 from .tokenizer import ascii96
 
-__all__ = ["train", "batch_loss", "loss_and_grads", "TrainResult"]
+__all__ = ["train", "loss_and_grads", "TrainResult"]
 
 
 @dataclass
@@ -42,20 +42,11 @@ def _flat(x):
     return x.reshape(-1, x.shape[-1])
 
 
-def batch_loss(model: TransformerModel, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean next-token cross-entropy over a (B, T) batch. Pure function."""
-    loss, _ = _forward_backward(model, inputs, targets, want_grads=False)
-    return loss
-
-
 def loss_and_grads(
     model: TransformerModel, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus analytic gradients for every weight tensor."""
-    return _forward_backward(model, inputs, targets, want_grads=True)
-
-
-def _forward_backward(model, inputs, targets, want_grads):
+    """Mean next-token cross-entropy over a (B, T) batch, plus its analytic
+    gradient for every weight tensor. The model is not mutated."""
     cfg = model.config
     B, T = inputs.shape
     H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
@@ -73,8 +64,6 @@ def _forward_backward(model, inputs, targets, want_grads):
     idx_b, idx_t = np.meshgrid(np.arange(B), np.arange(T), indexing="ij")
     nll = -np.log(np.maximum(probs[idx_b, idx_t, targets], 1e-300))
     loss = float(nll.mean())
-    if not want_grads:
-        return loss, None
 
     grads = {name: np.zeros_like(w) for name, w in model.param_tensors().items()}
 

@@ -3,7 +3,9 @@ import struct
 import numpy as np
 import pytest
 
+from pfid import checkpoint
 from pfid.checkpoint import CheckpointError, load_model, save_model
+from pfid.cli import EXIT_CONFIG, main
 from pfid.model import ModelConfig, init_model
 
 
@@ -116,4 +118,49 @@ def test_trailing_bytes_are_refused(tmp_path, model):
     size = path.stat().st_size
     path.write_bytes(path.read_bytes() + bytes(64))
     with pytest.raises(CheckpointError, match=f"holds {size + 64} bytes, .* takes {size}$"):
+        load_model(path)
+
+
+def header(n_layers=4, d_model=16, n_heads=2, d_ff=32, vocab_size=24, max_seq=20):
+    return struct.pack("<8s10IQ", b"PFIDMDL1", 1, 0, 0, 0, n_layers, d_model, n_heads, d_ff,
+                       vocab_size, max_seq, 0)
+
+
+def test_zero_heads_exits_2_from_serve(tmp_path, capsys):
+    """ModelConfig refuses n_heads 0 with a ValueError, not a division by
+    zero, so serve reports a config error."""
+    path = tmp_path / "zero_heads.ckpt"
+    path.write_bytes(header(n_heads=0))
+    assert main(["serve", "--checkpoint", str(path)]) == EXIT_CONFIG
+    assert "n_heads must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_layer_count_is_checked_before_any_layer_is_built(tmp_path, monkeypatch):
+    """A 56-byte header claiming 10^5 layers is refused from the header
+    alone, without building an object per layer."""
+    def no_layer(*weights):
+        raise AssertionError("a layer was built before the size check")
+
+    monkeypatch.setattr(checkpoint, "LayerWeights", no_layer)
+    path = tmp_path / "many_layers.ckpt"
+    path.write_bytes(header(n_layers=10**5))
+    per_layer = 4 * 16 * 16 + 2 * 16 * 32 + 2 * 16
+    expected = 56 + 4 * (24 * 16 + 20 * 16 + 10**5 * per_layer + 16 + 16 * 24)
+    with pytest.raises(CheckpointError, match=f"holds 56 bytes, .* takes {expected}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("offset, name, value", [
+    (0, "embedding", np.nan),
+    (-1, "lm_head", np.inf),
+    (24 * 16 + 20 * 16 + 3 * 16 * 16 + 5, "layer0.wo", -np.inf),
+])
+def test_non_finite_weights_are_refused(tmp_path, model, offset, name, value):
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+    data = path.read_bytes()
+    words = np.frombuffer(data, dtype="<f4", offset=56).copy()
+    words[offset] = value
+    path.write_bytes(data[:56] + words.tobytes())
+    with pytest.raises(CheckpointError, match=f"tensor {name} holds non-finite weights"):
         load_model(path)

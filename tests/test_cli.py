@@ -207,6 +207,47 @@ def test_sweep_rows_match_the_old_sweep_scoring(checkpoint, tmp_path):
         assert new == pytest.approx(old, abs=1e-12, rel=0)
 
 
+def test_sweep_rows_follow_the_grid_order(checkpoint, tmp_path):
+    """The split varies slowest, then omega, phead and ptail."""
+    code = main(["sweep", "--checkpoint", str(checkpoint), "--prompts", "1",
+                 "--prompt-len", "8", "--max-new-tokens", "2", "--layer-range-grid", "1,2;1,2",
+                 "--omega-grid", "1,0.5", "--ptail-grid", "0.5,0.25", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = json.loads((tmp_path / "sweep.json").read_text())
+    assert [(row["omega"], row["ptail"]) for row in rows] == \
+        [(1.0, 0.5), (1.0, 0.25), (0.5, 0.5), (0.5, 0.25)] * 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--phead-grid", "0.5,0.6,1.5"], "phead must be in [0, 1), got 1.5"),
+    (["--layer-range-grid", "1,2;1,3"], "need 0 < K < N < n_layers, got K=1, N=3, n_layers=3"),
+    (["--prompt-len", "12"], "prompt's 12 tokens leave no room for a new one within max_seq 12"),
+])
+def test_sweep_refuses_a_bad_grid_before_its_first_session(tmp_path, monkeypatch, capsys,
+                                                           flags, message):
+    """A bad value at the end of the grid, or a prompt as long as the
+    context, exits 2 with no session run and no output directory."""
+    path = tmp_path / "short.ckpt"
+    save_model(path, init_model(ModelConfig(n_layers=3, d_model=16, n_heads=2, d_ff=32,
+                                            vocab_size=96, max_seq=12, seed=1)))
+    sessions = []
+    real_run = run_local_sim
+
+    def counted(*args, **kwargs):
+        sessions.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr("pfid.cli.run_local_sim", counted)
+    out = tmp_path / "out"
+    code = main(["sweep", "--checkpoint", str(path), "--prompts", "2", "--prompt-len", "4",
+                 "--max-new-tokens", "2", "--layer-range-grid", "1,2", "--out-dir", str(out),
+                 *flags])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert sessions == []
+    assert not out.exists()
+
+
 def test_report_writes_the_output_gap(checkpoint, tmp_path):
     assert generate(checkpoint, tmp_path) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
@@ -222,8 +263,7 @@ def test_report_writes_the_output_gap(checkpoint, tmp_path):
                                ascii96())
     assert traces["local"] == sim.local.to_dict()
     assert traces["remnant"] == remnant.to_dict()
-    assert report == build_eval_report(sim.pipeline, sim.local, sim.eavesdroppers,
-                                       remnant=remnant, comm_ratio=sim.comm_ratio)
+    assert report == build_eval_report(sim, remnant)
 
 
 def test_report_is_no_longer_a_command(checkpoint, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pfid.metrics import build_eval_report, bleu, logit_kl, tail_share, token_agreement
 from pfid.model import SamplingParams
-from pfid.protocol import PfidConfig, run_local_sim
+from pfid.protocol import PfidConfig, SimResult, run_local_sim
 from pfid.trace import GenerationTrace, StepRecord
 
 
@@ -75,8 +75,8 @@ class TestBleu:
             assert bleu(s, s) == pytest.approx(100.0)
 
 
-def _trace(ids, logits=None):
-    t = GenerationTrace(mode="t", prompt="p")
+def _trace(ids, logits=None, mode="t"):
+    t = GenerationTrace(mode=mode, prompt="p")
     for i, tid in enumerate(ids):
         lg = None if logits is None else np.asarray(logits[i], dtype=float)
         t.steps.append(StepRecord(token_id=tid, logits=lg))
@@ -85,28 +85,30 @@ def _trace(ids, logits=None):
 
 class TestTokenAgreement:
     def test_identical(self):
-        assert token_agreement([1, 2, 3], [1, 2, 3]) == 1.0
+        assert token_agreement(_trace([1, 2, 3]), _trace([1, 2, 3])) == 1.0
 
     def test_disjoint_equal_length(self):
-        assert token_agreement([1, 2, 3], [4, 5, 6]) == 0.0
+        assert token_agreement(_trace([1, 2, 3]), _trace([4, 5, 6])) == 0.0
 
     def test_length_mismatch_penalty(self):
         # 2 matches over max length 4
-        assert token_agreement([1, 2], [1, 2, 9, 9]) == pytest.approx(0.5)
+        assert token_agreement(_trace([1, 2]), _trace([1, 2, 9, 9])) == pytest.approx(0.5)
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            a = list(rng.integers(0, 5, size=rng.integers(1, 10)))
-            b = list(rng.integers(0, 5, size=rng.integers(1, 10)))
+            a = _trace(rng.integers(0, 5, size=rng.integers(1, 10)).tolist())
+            b = _trace(rng.integers(0, 5, size=rng.integers(1, 10)).tolist())
             assert token_agreement(a, b) == token_agreement(b, a)
 
     def test_accepts_traces(self):
-        assert token_agreement(_trace([1, 2]), _trace([1, 2])) == 1.0
+        """Only the token ids count, not the traces' modes."""
+        a, b = _trace([1, 2], mode="local"), _trace([1, 2], mode="pipeline")
+        assert token_agreement(a, b) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            token_agreement([], [1])
+            token_agreement(_trace([]), _trace([1]))
 
 
 class TestLogitKl:
@@ -155,19 +157,37 @@ class TestBuildEvalReport:
         config = PfidConfig(omega=0.0, phead=0.0, ptail=0.0,
                             sampling=SamplingParams(greedy=True, max_new_tokens=8))
         sim = run_local_sim(tiny_model, tokenizer, config, "alice called bo")
-        report = build_eval_report(sim.pipeline, sim.local, sim.eavesdroppers)
+        report = build_eval_report(sim)
         local = report["scenarios"]["local"]
         assert local["token_agreement"] == 1.0
         assert local["mean_logit_kl"] == pytest.approx(0.0, abs=1e-12)
         assert report["output_gap"]["tail_only"] == {"bleu": 0.0, "token_agreement": 0.0}
+        assert report["comm_ratio"] == sim.comm_ratio
 
     def test_an_empty_pipeline_text_scores_bleu_zero_everywhere(self):
         logits = [[1.0, 0.0], [0.0, 1.0]]
-        pipeline, local, eaves = (_trace([0, 1], logits) for _ in range(3))
+        pipeline, local, eaves, remnant = (
+            _trace([0, 1], logits, mode) for mode in
+            ("pipeline", "local", "eavesdropper:tail_only", "remnant"))
         eaves.steps[1].token_id = 0
         local.text = eaves.text = "ab"
-        report = build_eval_report(pipeline, local, {"tail_only": eaves})
+        sim = SimResult(pipeline=pipeline, local=local, eavesdroppers={"tail_only": eaves},
+                        capture=[], wire_bytes=0, comm_ratio=0.25)
+        report = build_eval_report(sim, remnant)
+        assert list(report["scenarios"]) == ["pipeline", "local", "eavesdropper:tail_only",
+                                             "remnant"]
         for scores in report["scenarios"].values():
             assert scores["bleu"] == 0.0
         assert report["scenarios"]["local"]["token_agreement"] == 1.0
         assert report["output_gap"]["tail_only"] == {"bleu": 0.0, "token_agreement": 0.5}
+        assert report["comm_ratio"] == 0.25
+
+    def test_scenarios_are_labelled_by_trace_mode(self):
+        """A label comes from the trace, not from where the report found it."""
+        pipeline, local, eaves = (_trace([0], [[1.0, 0.0]], mode)
+                                  for mode in ("pipeline", "local", "eavesdropper:m"))
+        sim = SimResult(pipeline=pipeline, local=local, eavesdroppers={"m": eaves},
+                        capture=[], wire_bytes=0, comm_ratio=float("nan"))
+        report = build_eval_report(sim)
+        assert list(report["scenarios"]) == ["pipeline", "local", "eavesdropper:m"]
+        assert list(report["output_gap"]) == ["m"]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfid.tokenizer import Tokenizer, ascii96
+from pfid.tokenizer import ascii96
 
 
 def test_default_alphabet_is_96_chars():
@@ -31,18 +31,7 @@ def test_byte_fallback_replaces_unknown():
     assert tok.decode(ids) == "caf?"
 
 
-def test_strict_mode_rejects_unknown():
-    tok = Tokenizer(ascii96().alphabet, byte_fallback=False)
-    with pytest.raises(ValueError, match="not in alphabet"):
-        tok.encode("é")
-
-
 def test_decode_rejects_out_of_range():
     tok = ascii96()
     with pytest.raises(ValueError, match="out of range"):
         tok.decode([96])
-
-
-def test_duplicate_alphabet_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        Tokenizer("aab")

@@ -3,7 +3,7 @@ import pytest
 
 from pfid.model import ModelConfig, SamplingParams, init_model, pipeline_generate
 from pfid.tokenizer import ascii96
-from pfid.training import batch_loss, loss_and_grads, train
+from pfid.training import loss_and_grads, train
 
 
 def small_config(**kw):
@@ -30,9 +30,9 @@ def test_gradients_match_central_finite_differences():
         for c in coords:
             orig = flat[c]
             flat[c] = orig + eps
-            up = batch_loss(model, inputs, targets)
+            up = loss_and_grads(model, inputs, targets)[0]
             flat[c] = orig - eps
-            down = batch_loss(model, inputs, targets)
+            down = loss_and_grads(model, inputs, targets)[0]
             flat[c] = orig
             fd = (up - down) / (2 * eps)
             denom = max(abs(fd), abs(gflat[c]), 1e-8)
@@ -45,9 +45,9 @@ def test_loss_decreases():
     ids = np.asarray(ascii96().encode(corpus), dtype=np.int64)
     rng = np.random.default_rng(0)
     windows = np.stack([ids[s : s + 17] for s in rng.integers(0, len(ids) - 18, size=8)])
-    before = batch_loss(model, windows[:, :-1], windows[:, 1:])
+    before = loss_and_grads(model, windows[:, :-1], windows[:, 1:])[0]
     result = train(model, corpus, steps=200, lr=3e-3, seed=0)
-    after = batch_loss(result.model, windows[:, :-1], windows[:, 1:])
+    after = loss_and_grads(result.model, windows[:, :-1], windows[:, 1:])[0]
     assert after < before
     assert result.losses[-1] < result.losses[0]
 

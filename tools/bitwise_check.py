@@ -13,14 +13,20 @@ dense-SVD and bypass), on the untrained `ModelConfig(seed=7)`:
 the captured wire bytes; every step's token and logits for the local client,
 the pipeline baseline, both eavesdroppers and the remnant decoder. Then
 `loss_and_grads` on a 12 x 32 batch, and the losses and final weights of
-5 `train` steps.
+5 `train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
+a temporary binary32 checkpoint of the same model: `report.json`,
+`traces.json` and `capture.pfidcap` from one `generate`, and `sweep.json`
+from a 2 x 2 `sweep` grid. That makes 102 outputs.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +47,8 @@ def _trace_digest(trace) -> str:
 
 def dump() -> dict[str, str]:
     from pfid.adversary import remnant_generate
+    from pfid.checkpoint import save_model
+    from pfid.cli import main as cli_main
     from pfid.corpus import build_corpus
     from pfid.model import ModelConfig, SamplingParams, init_model
     from pfid.protocol import PfidConfig, run_local_sim
@@ -82,6 +90,21 @@ def dump() -> dict[str, str]:
     result = train(model, corpus, steps=5, seed=5, log_every=1)
     params = result.model.param_tensors()
     out["train5"] = _digest(result.losses, *[params[k] for k in sorted(params)])
+
+    # stdout carries this dump's JSON, so the commands' printing is dropped
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tmp = Path(tmp)
+        save_model(tmp / "model.ckpt", model)
+        common = ["--checkpoint", str(tmp / "model.ckpt"), "--max-new-tokens", "12"]
+        for argv in (["generate", "--prompt", corpus[1000:1024], "--phead", "0.7",
+                      "--seed", "5", "--out-dir", str(tmp / "generate")],
+                     ["sweep", "--prompts", "2", "--omega-grid", "1,0.5",
+                      "--phead-grid", "0.5,0", "--out-dir", str(tmp / "sweep")]):
+            if cli_main(argv + common) != 0:
+                raise SystemExit(f"pfid {argv[0]} failed")
+        for path in ("generate/report.json", "generate/traces.json",
+                     "generate/capture.pfidcap", "sweep/sweep.json"):
+            out[path] = hashlib.sha256((tmp / path).read_bytes()).hexdigest()
     return out
 
 
