@@ -14,13 +14,12 @@ withheld components alone encode.
 from __future__ import annotations
 
 import enum
-import struct
-from pathlib import Path
 
 import numpy as np
 
 from .model import sample_next
-from .protocol import HEAD_ROLES, MID_ROLES, FieldError, Packet, PfidConfig, decode_packet
+from .protocol import (HEAD_ROLES, MID_ROLES, FieldError, Packet, PfidConfig, decode_packet,
+                       reprivatize)
 from .shard import Shard, head_cache, head_forward, middle_forward, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord
@@ -29,11 +28,8 @@ __all__ = [
     "AdversaryMode",
     "eavesdrop_generate",
     "remnant_generate",
-    "save_capture",
     "paired_packets",
 ]
-
-_LEN = struct.Struct("<I")
 
 
 class AdversaryMode(enum.Enum):
@@ -42,23 +38,18 @@ class AdversaryMode(enum.Enum):
 
 
 def paired_packets(capture: list[bytes]) -> list[tuple[Packet, Packet]]:
-    """Group a captured stream into per-step (upstream, downstream) pairs."""
-    ups: dict[int, Packet] = {}
-    downs: dict[int, Packet] = {}
-    for raw in capture:
-        pkt = decode_packet(raw)
-        if pkt.role in HEAD_ROLES:
-            ups[pkt.step] = pkt
-        elif pkt.role in MID_ROLES:
-            downs[pkt.step] = pkt
-        else:
-            raise FieldError(f"capture contains role {pkt.role} packet at step {pkt.step}")
-    pairs = []
-    for step in sorted(downs):
-        if step not in ups:
-            raise FieldError(f"stream desync: downstream step {step} has no upstream packet")
-        pairs.append((ups[step], downs[step]))
-    return pairs
+    """Step i's (request, reply) from frames 2i and 2i + 1 of a captured
+    stream. Refuses a stream that does not alternate head and middle
+    packets of steps 0, 1, 2, ..., or that ends on an unanswered request."""
+    if len(capture) % 2:
+        raise FieldError(f"capture of {len(capture)} frames ends on an unanswered request")
+    packets = [decode_packet(raw) for raw in capture]
+    for i, pkt in enumerate(packets):
+        side, roles = ("middle", MID_ROLES) if i % 2 else ("head", HEAD_ROLES)
+        if pkt.role not in roles or pkt.step != i // 2:
+            raise FieldError(f"capture frame {i} is a role {pkt.role} packet of step {pkt.step}, "
+                             f"not a {side} packet of step {i // 2}")
+    return list(zip(packets[0::2], packets[1::2]))
 
 
 def eavesdrop_generate(
@@ -85,7 +76,7 @@ def eavesdrop_generate(
     for up, down in paired_packets(capture):
         h = down.hidden()
         if mode is AdversaryMode.TAIL_PLUS_INTERCEPTED_HEAD:
-            h = h + config.omega * up.hidden()
+            h = reprivatize(h, up.hidden(), config.omega)
         lg = tail_forward(public, h)
         tok = sample_next(lg, params, rng)
         trace.steps.append(
@@ -136,10 +127,3 @@ def remnant_generate(
         trace.text = tokenizer.decode(trace.token_ids).rstrip("\n")
     return trace
 
-
-def save_capture(path: str | Path, capture: list[bytes]) -> None:
-    """Packet-capture file: length-prefixed packets in wire order."""
-    with open(path, "wb") as fh:
-        for raw in capture:
-            fh.write(_LEN.pack(len(raw)))
-            fh.write(raw)

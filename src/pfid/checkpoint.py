@@ -1,7 +1,7 @@
 """Versioned binary checkpoint container for the full model.
 
 Layout: magic "PFIDMDL1", a fixed header (version, role, two split fields,
-model config), then the weight matrices in `param_slots` order as
+model config), then the weight matrices in `param_tensors` order as
 little-endian binary32. The file holds the whole model: role, split_k and
 split_n are written as 0, and any other role is refused. `pfid serve`
 splits the loaded model itself. A file whose size is not the one its header

@@ -7,7 +7,7 @@ a run manifest (`manifest.json`) next to its outputs:
 - `generate` runs one session on one prompt and scores every scenario;
 - `serve` splits a full-model checkpoint and serves its middle shard over TCP;
 - `sweep` scores held-out prompts over a grid of settings;
-- `analyze` writes per-layer spectra and the communication table.
+- `analyze` writes per-layer spectra.
 
 Settings: `--config FILE` loads a `PfidConfig` from JSON, and a flag per
 setting overrides one key. Each command takes only the settings it reads:
@@ -21,7 +21,8 @@ and their manifests record `"config": null`.
 `generate` runs its session through `run_local_sim`: in process, where the
 middle answers each request in the caller's thread, or over a TCP
 connection to `pfid serve` when `--connect HOST:PORT` is given. Both give
-the same bytes. It writes to `--out-dir`:
+the same bytes. Once the session has run and been scored, it writes to
+`--out-dir`:
 
 - `traces.json`, each scenario's trace keyed by its mode: `pipeline`,
   `local`, `eavesdropper:<mode>` and `remnant`;
@@ -35,7 +36,8 @@ It prints the score table. `sweep` scores its sessions the same way,
 without the remnant, and writes the mean of each setting's reports. It
 checks its whole grid first: every point's settings and split, and every
 prompt's length against the model's max_seq. A bad value anywhere exits 2
-before the first session runs and before `--out-dir` is created.
+before the first session runs and before `--out-dir` is created. No
+command creates its output directory for a run it refuses.
 
 Exit codes: 0 success, 2 config error, 3 transport error, 4 protocol error,
 1 anything else.
@@ -59,17 +61,16 @@ from typing import Any
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adversary import AdversaryMode, remnant_generate, save_capture
+from .adversary import AdversaryMode, remnant_generate
 from .corpus import build_corpus, heldout_prompts
-from .linalg import ratio_to_rank
 from .metrics import build_eval_report, spectra_report
 from .model import ModelConfig, init_model
 from .protocol import (PfidConfig, ProtocolError, check_prompt_fits, max_request_bytes,
-                       packet_bytes_for, run_local_sim, serve_middle)
+                       run_local_sim, serve_middle)
 from .shard import ShardSpec, split
-from .tokenizer import ascii96
+from .tokenizer import Tokenizer
 from .training import train
-from .transport import TcpServer, TransportError, connect_tcp
+from .transport import TcpServer, TransportError, connect_tcp, save_capture
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,13 +131,13 @@ def cmd_train(args) -> int:
     if args.steps < 1:
         raise ConfigError("--steps must be >= 1")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.corpus:
         corpus = Path(args.corpus).read_text()
     else:
         corpus = build_corpus(args.corpus_lines, seed=args.corpus_seed)
     model = init_model(ModelConfig(seed=args.seed))
     result = train(model, corpus, steps=args.steps, lr=args.lr, seed=args.seed)
+    out.parent.mkdir(parents=True, exist_ok=True)
     ckpt.save_model(out, result.model)
     loss_log = out.with_suffix(out.suffix + ".losses.json")
     loss_log.write_text(json.dumps(result.losses) + "\n")
@@ -149,10 +150,8 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    tokenizer = ascii96()
+    tokenizer = Tokenizer()
     model = ckpt.load_model(args.checkpoint)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     transport = None
     if args.connect is not None:
         host, _, port = args.connect.rpartition(":")
@@ -164,6 +163,8 @@ def cmd_generate(args) -> int:
     remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tokenizer)
     report = build_eval_report(sim, remnant)
     traces = [sim.pipeline, sim.local, *sim.eavesdroppers.values(), remnant]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     traces_path = out_dir / "traces.json"
     traces_path.write_text(json.dumps({t.mode: t.to_dict() for t in traces}, indent=2) + "\n")
     report_path = out_dir / "report.json"
@@ -202,7 +203,7 @@ def cmd_sweep(args) -> int:
     if args.prompts < 1:
         raise ConfigError("--prompts must be >= 1")
     config = _load_config(args)
-    tokenizer = ascii96()
+    tokenizer = Tokenizer()
     model = ckpt.load_model(args.checkpoint)
     prompts = heldout_prompts(args.prompts, seed=args.prompt_seed, prompt_len=args.prompt_len)
 
@@ -258,32 +259,14 @@ def _mean(reports: list) -> Any:
 
 
 def cmd_analyze(args) -> int:
-    tokenizer = ascii96()
+    tokenizer = Tokenizer()
     model = ckpt.load_model(args.checkpoint)
+    prompts = heldout_prompts(args.prompts, seed=args.prompt_seed, prompt_len=args.prompt_len)
+    spectra = spectra_report(model, [tokenizer.encode(p) for p in prompts], tail_q=args.tail_q)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prompts = heldout_prompts(args.prompts, seed=args.prompt_seed, prompt_len=args.prompt_len)
-
-    # communication table: exact affine bytes-vs-k law at representative dims
-    d = model.config.d_model
-    comm_rows = []
-    for n in (16, 32, 64, 128):
-        for p in (0.0, 0.25, 0.5, 0.65, 0.75, 0.9):
-            k = ratio_to_rank(p, d, n)
-            comm_rows.append({
-                "d": d, "n": n, "ratio": p, "k": k,
-                "packet_bytes": packet_bytes_for(d, n, k),
-                "baseline_bytes": 4 * d * n,
-            })
-
-    spectra = spectra_report(model, [tokenizer.encode(p) for p in prompts], tail_q=args.tail_q)
-
-    report = {
-        "comm_table": comm_rows,
-        "spectra": spectra,
-    }
     report_path = out_dir / "analysis.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps({"spectra": spectra}, indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, "analyze", None, args.checkpoint,
                     ["analyze"], [str(report_path)], args.prompt_seed)
     print(f"\nper-layer spectrum (tail_q={args.tail_q}):")
@@ -357,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             ["--checkpoint", "--omega-grid", "--phead-grid", "--ptail-grid", "--layer-range-grid",
              "--prompts", "--prompt-seed", "--prompt-len", "--out-dir",
              "--config", "--greedy", "--max-new-tokens", "--seed"], prompts=20)
-    command("analyze", cmd_analyze, "spectrum and communication reports",
+    command("analyze", cmd_analyze, "per-layer spectra of held-out prompts",
             ["--checkpoint", "--prompts", "--prompt-seed", "--prompt-len", "--tail-q",
              "--out-dir"], prompts=10)
     return parser

@@ -110,22 +110,17 @@ class TransformerModel:
     g_final: np.ndarray        # d
     lm_head: Matrix            # d x vocab
 
-    def param_slots(self) -> dict[str, tuple[object, str]]:
-        """Where each weight tensor lives, as (owner, attribute), by name in
-        a stable declared order; weights a shard withholds (None) are left
-        out."""
-        out = {"embedding": (self, "embedding"), "pos": (self, "pos")}
+    def param_tensors(self) -> dict[str, np.ndarray]:
+        """Named weight tensors, by name in a stable declared order; weights
+        a shard withholds (None) are left out."""
+        out = {"embedding": self.embedding, "pos": self.pos}
         for i, lw in enumerate(self.layers):
             if lw is not None:
                 for f in fields(LayerWeights):
-                    out[f"layer{i}.{f.name}"] = (lw, f.name)
-        out["g_final"] = (self, "g_final")
-        out["lm_head"] = (self, "lm_head")
-        return {name: slot for name, slot in out.items() if getattr(*slot) is not None}
-
-    def param_tensors(self) -> dict[str, np.ndarray]:
-        """Named weight tensors, in param_slots order."""
-        return {name: getattr(*slot) for name, slot in self.param_slots().items()}
+                    out[f"layer{i}.{f.name}"] = getattr(lw, f.name)
+        out["g_final"] = self.g_final
+        out["lm_head"] = self.lm_head
+        return {name: w for name, w in out.items() if w is not None}
 
 
 @dataclass(frozen=True)

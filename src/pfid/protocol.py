@@ -22,8 +22,10 @@ Wire format: 32-byte header (magic "PFIDPKT1", version, role, d, n, k,
 step) + binary32 factor payload U | s | V of exactly 4*k*(d+n+1) bytes.
 When a truncation ratio is zero, the SVD and its binary32 quantization are
 skipped and the raw float64 matrix crosses the wire instead (role RAW, k=0,
-payload 8*d*n bytes); this is what makes the degenerate configuration
-bit-exactly equal to the unsplit pipeline.
+payload 8*d*n bytes). `packet_bytes_for` is the size law of both kinds.
+So the bypass configuration (omega and both ratios zero) sends hidden
+states losslessly: with the head and tail recomputed in full it equals the
+unsplit pipeline bit for bit, and on the cached paths to 1e-12.
 
 The wire carries hidden states as d x n (features x positions) matrices.
 That layout exists only in the packet codec here: `_encode_hidden` encodes
@@ -303,15 +305,18 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
 
     if d < 1 or n < 1:
         raise FieldError(f"bad dimensions d={d}, n={n}")
+    raw = role in (ROLE_HEAD_RAW, ROLE_MID_RAW)
+    if raw and k != 0:
+        raise FieldError(f"raw packet must carry k=0, got k={k}")
+    if not raw and not (1 <= k <= min(d, n)):
+        raise FieldError(f"inconsistent rank k={k} for {d}x{n}")
+    expect = packet_bytes_for(d, n, k)
+    if len(data) != expect:
+        raise LengthMismatchError(
+            f"packet is {len(data)} bytes, expected {expect} for d={d} n={n} k={k}"
+        )
 
-    if role in (ROLE_HEAD_RAW, ROLE_MID_RAW):
-        if k != 0:
-            raise FieldError(f"raw packet must carry k=0, got k={k}")
-        expect = 8 * d * n
-        if len(payload) != expect:
-            raise LengthMismatchError(
-                f"raw payload is {len(payload)} bytes, expected {expect} for {d}x{n}"
-            )
+    if raw:
         h = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(d, n)
         # Also false for NaN and inf. A larger state cannot come back as
         # binary32 factors, and above about 1e154 the RMS norm's squares
@@ -320,13 +325,6 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
             raise FieldError("raw payload values must be finite and within the binary32 range")
         return Packet(role=role, step=step, d=d, n=n, k=0, matrix=h)
 
-    if not (1 <= k <= min(d, n)):
-        raise FieldError(f"inconsistent rank k={k} for {d}x{n}")
-    expect = 4 * k * (d + n + 1)
-    if len(payload) != expect:
-        raise LengthMismatchError(
-            f"factor payload is {len(payload)} bytes, expected {expect} for d={d} n={n} k={k}"
-        )
     words = np.frombuffer(payload, dtype="<f4")
     # Checked before the cast: casting a signalling NaN raises a warning.
     if not np.isfinite(words).all():
@@ -348,14 +346,15 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
 
 
 def packet_bytes_for(d: int, n: int, k: int) -> int:
-    """Exact factor-packet size: header + 4*k*(d+n+1)."""
-    return PKT_HEADER_BYTES + 4 * k * (d + n + 1)
+    """Exact packet size: header + 4*k*(d+n+1) for rank-k factors, or
+    header + 8*d*n for a raw packet (k = 0)."""
+    return PKT_HEADER_BYTES + (4 * k * (d + n + 1) if k else 8 * d * n)
 
 
 def max_request_bytes(cfg: ModelConfig) -> int:
     """Largest request a server of this model accepts: a raw head packet of
     max_seq positions. Every legal factor packet is smaller."""
-    return PKT_HEADER_BYTES + 8 * cfg.d_model * cfg.max_seq
+    return packet_bytes_for(cfg.d_model, cfg.max_seq, 0)
 
 
 def reprivatize(h_mid_hat: Matrix, h_head: Matrix, omega: float) -> Matrix:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["Tokenizer", "ascii96"]
+__all__ = ["Tokenizer"]
 
 # newline first so the end-of-sequence token is id 0
 _ASCII96 = "\n" + "".join(chr(c) for c in range(0x20, 0x7F))
@@ -32,7 +32,3 @@ class Tokenizer:
             out.append(self.alphabet[tid])
         return "".join(out)
 
-
-def ascii96() -> Tokenizer:
-    """The default 96-character tokenizer: newline plus printable ASCII."""
-    return Tokenizer()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GELU_A, GELU_C, TransformerModel, _rms_scale, _softmax_rows, layer_forward
-from .tokenizer import ascii96
+from .tokenizer import Tokenizer
 
 __all__ = ["train", "loss_and_grads", "TrainResult"]
 
@@ -135,7 +135,7 @@ def train(
         raise ValueError("steps must be >= 1")
     if not corpus:
         raise ValueError("corpus is empty")
-    ids = np.asarray(ascii96().encode(corpus), dtype=np.int64)
+    ids = np.asarray(Tokenizer().encode(corpus), dtype=np.int64)
     seq_len = min(seq_len, model.config.max_seq)
     if len(ids) < seq_len + 2:
         seq_len = max(2, len(ids) - 2)

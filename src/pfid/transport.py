@@ -4,6 +4,10 @@ connected socket pair for in-process channels.
 Every message is one length-prefixed frame (u32 little-endian byte count,
 then the payload). The protocol layer treats both transports identically;
 traces must come out bit-for-bit the same over either.
+
+`save_capture` writes a session's captured messages, in wire order and
+framed as on the wire, to a capture file: the `capture.pfidcap` that
+`pfid generate` writes.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import socket
 import struct
 import threading
 import time
+from pathlib import Path
 from typing import Callable
 
 __all__ = [
@@ -22,12 +27,18 @@ __all__ = [
     "TcpServer",
     "CapturingTransport",
     "connect_tcp",
+    "save_capture",
 ]
 
 MAX_FRAME_BYTES = 1 << 28  # reject absurd frame lengths before allocating
 IDLE_TIMEOUT_S = 60.0  # an accepted peer this long in sending a frame ends its session
 MAX_CONNECTIONS = 16  # sessions a TcpServer serves at once; later ones wait in the backlog
 _LEN = struct.Struct("<I")
+
+
+def _frame(data: bytes) -> bytes:
+    """One message as it crosses the wire: its length prefix, then itself."""
+    return _LEN.pack(len(data)) + data
 
 
 class TransportError(Exception):
@@ -49,7 +60,7 @@ class SocketTransport:
 
     def send_bytes(self, data: bytes) -> None:
         try:
-            self._sock.sendall(_LEN.pack(len(data)) + data)
+            self._sock.sendall(_frame(data))
         except OSError as e:
             raise TransportError(f"socket send failed: {e}") from e
 
@@ -127,6 +138,12 @@ class CapturingTransport:
 
     def close(self) -> None:
         self._inner.close()
+
+
+def save_capture(path: str | Path, capture: list[bytes]) -> None:
+    """Write a capture file: the captured frames in wire order, each framed
+    as on the wire."""
+    Path(path).write_bytes(b"".join(map(_frame, capture)))
 
 
 def connect_tcp(host: str, port: int, timeout: float = 30.0,

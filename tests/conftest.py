@@ -13,7 +13,7 @@ import pytest
 from pfid.checkpoint import load_model, save_model
 from pfid.corpus import build_corpus, heldout_prompts
 from pfid.model import ModelConfig, init_model
-from pfid.tokenizer import ascii96
+from pfid.tokenizer import Tokenizer
 from pfid.training import train
 
 TRAIN_STEPS = 4000
@@ -39,7 +39,7 @@ def trained_checkpoint_path() -> Path:
 
 @pytest.fixture(scope="session")
 def tokenizer():
-    return ascii96()
+    return Tokenizer()
 
 
 @pytest.fixture(scope="session")

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from pfid.adversary import AdversaryMode, remnant_generate
-from pfid.checkpoint import load_model, save_model
+from pfid.checkpoint import file_sha256, load_model, save_model
 from pfid.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, main
 from pfid.corpus import heldout_prompts
 from pfid.metrics import bleu, build_eval_report, token_agreement
 from pfid.model import ModelConfig, SamplingParams, init_model
-from pfid.linalg import ratio_to_rank
-from pfid.protocol import (PfidConfig, decode_packet, max_request_bytes, packet_bytes_for,
+from pfid.protocol import (ROLE_HEAD_RAW, ROLE_MID_RAW, PfidConfig, decode_packet,
+                           encode_error_packet, encode_raw_packet, max_request_bytes,
                            run_local_sim, serve_middle)
 from pfid.shard import ShardSpec, split
-from pfid.tokenizer import ascii96
-from pfid.transport import SocketTransport, TcpServer
+from pfid.tokenizer import Tokenizer
+from pfid.transport import SocketTransport, TcpServer, TransportError
 
 SMALL = ModelConfig(n_layers=3, d_model=16, n_heads=2, d_ff=32, vocab_size=96, max_seq=40,
                     seed=1)
@@ -50,24 +50,52 @@ def test_closed_port_exits_3(checkpoint, tmp_path):
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
-    code = generate(checkpoint, tmp_path, "--connect", f"127.0.0.1:{port}")
+    code = generate(checkpoint, tmp_path / "out", "--connect", f"127.0.0.1:{port}")
     assert code == EXIT_TRANSPORT
+    assert not (tmp_path / "out").exists()
+
+
+def stand_in(reply):
+    """A TcpServer that answers each decoded request with reply(request)."""
+    def answer(transport):
+        try:
+            while True:
+                transport.send_bytes(reply(decode_packet(transport.recv_bytes())))
+        except TransportError:
+            pass
+
+    return TcpServer(answer).start()
 
 
 def test_bad_magic_reply_exits_4(checkpoint, tmp_path):
-    def reply_bad_magic(transport):
-        try:
-            transport.recv_bytes()
-            transport.send_bytes(b"NOTAPKT!" + bytes(24))
-        finally:
-            transport.close()
-
-    server = TcpServer(reply_bad_magic).start()
+    server = stand_in(lambda req: b"NOTAPKT!" + bytes(24))
     try:
         code = generate(checkpoint, tmp_path, "--connect", f"{server.host}:{server.port}")
     finally:
         server.stop()
     assert code == EXIT_PROTOCOL
+
+
+@pytest.mark.parametrize("reply, message", [
+    (lambda req: encode_error_packet(7, req.step, "middle is resting"),
+     "remote error code 7 at step 0: middle is resting"),
+    (lambda req: encode_raw_packet(req.hidden().T, ROLE_MID_RAW, req.step + 1),
+     "reply desync at step 0: got step=1, 16x5"),
+    (lambda req: encode_raw_packet(req.hidden().T[:, 1:], ROLE_MID_RAW, req.step),
+     "reply desync at step 0: got step=0, 16x4"),
+    (lambda req: encode_raw_packet(req.hidden().T, ROLE_HEAD_RAW, req.step),
+     f"unexpected reply role {ROLE_HEAD_RAW} at step 0"),
+], ids=["error_reply", "wrong_step", "wrong_n", "head_role"])
+def test_an_error_reply_or_a_reply_out_of_step_exits_4(checkpoint, tmp_path, capsys, reply,
+                                                      message):
+    server = stand_in(reply)
+    try:
+        code = generate(checkpoint, tmp_path / "out", "--connect", f"{server.host}:{server.port}")
+    finally:
+        server.stop()
+    assert code == EXIT_PROTOCOL
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_with_an_unknown_key_exits_2(checkpoint, tmp_path):
@@ -107,6 +135,17 @@ def test_reply_longer_than_the_model_allows_exits_3(checkpoint, tmp_path, capsys
     assert f"frame length {limit + 1} exceeds limit {limit}" in capsys.readouterr().err
 
 
+def test_flags_over_config_keys_land_in_the_manifest(checkpoint, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"omega": 0.25, "phead": 0.5}))
+    out = tmp_path / "out"
+    assert generate(checkpoint, out, "--config", str(config), "--phead", "0.25",
+                    "--greedy") == EXIT_OK
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    assert (recorded["greedy"], recorded["omega"], recorded["phead"]) == (True, 0.25, 0.25)
+    assert json.loads((out / "traces.json").read_text())["local"]["config"] == recorded
+
+
 @pytest.mark.parametrize("key, value", [
     ("greedy", "false"),
     ("seed", 1.9),
@@ -137,6 +176,25 @@ def test_socket_and_sim_runs_write_the_same_trace_and_capture(checkpoint, tmp_pa
         assert (tmp_path / "socket" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes()
 
 
+def test_a_session_stops_at_max_seq_alike_in_process_and_over_tcp(checkpoint, tmp_path):
+    """A prompt two tokens short of max_seq: two steps run, then the
+    context is full, well before --max-new-tokens."""
+    prompt = "x" * (SMALL.max_seq - 2)
+    middle = split(load_model(checkpoint), GENERATE_CONFIG.spec).middle()
+    server = TcpServer(lambda t: serve_middle(middle, t, GENERATE_CONFIG)).start()
+    try:
+        over_socket = generate(checkpoint, tmp_path / "socket", "--prompt", prompt,
+                               "--connect", f"{server.host}:{server.port}")
+    finally:
+        server.stop()
+    assert over_socket == generate(checkpoint, tmp_path / "sim", "--prompt", prompt) == EXIT_OK
+    traces = (tmp_path / "socket" / "traces.json").read_bytes()
+    assert traces == (tmp_path / "sim" / "traces.json").read_bytes()
+    local = json.loads(traces)["local"]
+    assert local["stop_reason"] == "max_seq"
+    assert len(local["steps"]) == 2
+
+
 def test_capture_file_holds_the_session_packets_in_wire_order(checkpoint, tmp_path):
     assert generate(checkpoint, tmp_path) == EXIT_OK
     data = (tmp_path / "capture.pfidcap").read_bytes()
@@ -148,14 +206,14 @@ def test_capture_file_holds_the_session_packets_in_wire_order(checkpoint, tmp_pa
         decode_packet(record)
         records.append(record)
         offset += 4 + length
-    sim = run_local_sim(load_model(checkpoint), ascii96(), GENERATE_CONFIG, "hello")
+    sim = run_local_sim(load_model(checkpoint), Tokenizer(), GENERATE_CONFIG, "hello")
     assert records == sim.capture
 
 
 def old_sweep_row(model, config, prompts):
     """The sweep scoring before it went through build_eval_report: means
     over prompts, BLEU only over prompts whose pipeline text is nonempty."""
-    tokenizer = ascii96()
+    tokenizer = Tokenizer()
     local_agr, eaves_agr, local_bleu, eaves_bleu = [], [], [], []
     bytes_total, tokens_total = 0, 0
     for prompt in prompts:
@@ -258,9 +316,9 @@ def test_report_writes_the_output_gap(checkpoint, tmp_path):
     traces = json.loads((tmp_path / "traces.json").read_text())
     assert set(traces) == set(report["scenarios"])
     model = load_model(checkpoint)
-    sim = run_local_sim(model, ascii96(), GENERATE_CONFIG, "hello")
+    sim = run_local_sim(model, Tokenizer(), GENERATE_CONFIG, "hello")
     remnant = remnant_generate(split(model, GENERATE_CONFIG.spec), sim.local, sim.capture,
-                               ascii96())
+                               Tokenizer())
     assert traces["local"] == sim.local.to_dict()
     assert traces["remnant"] == remnant.to_dict()
     assert report == build_eval_report(sim, remnant)
@@ -336,12 +394,13 @@ def test_prompt_that_fills_the_context_exits_2(checkpoint, tmp_path, capsys, ove
     extra = ["--connect", f"{server.host}:{server.port}"] if over_tcp else []
     try:
         code = main(["generate", "--checkpoint", str(checkpoint), "--prompt", "x" * SMALL.max_seq,
-                     "--layer-range", "1,2", "--out-dir", str(tmp_path), *extra])
+                     "--layer-range", "1,2", "--out-dir", str(tmp_path / "out"), *extra])
     finally:
         server.stop()
     assert code == EXIT_CONFIG
     assert "prompt's 40 tokens leave no room for a new one within max_seq 40" \
         in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("port", ["70000", "-1"])
@@ -353,22 +412,56 @@ def test_serve_refuses_a_port_outside_0_to_65535(checkpoint, capsys, port):
 @pytest.mark.parametrize("address", ["127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1"])
 def test_generate_refuses_a_connect_port_outside_1_to_65535(checkpoint, tmp_path, capsys,
                                                              address):
-    assert generate(checkpoint, tmp_path, "--connect", address) == EXIT_CONFIG
+    assert generate(checkpoint, tmp_path / "out", "--connect", address) == EXIT_CONFIG
     assert "1-65535" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-def test_analyze_writes_spectra_and_the_comm_table(checkpoint, tmp_path):
+def test_analyze_writes_only_spectra(checkpoint, tmp_path):
+    """Wire bytes are measured by every session (report.json's comm_ratio,
+    sweep.json's bytes_per_token), so analyze restates no size law."""
     code = main(["analyze", "--checkpoint", str(checkpoint), "--prompts", "2",
                  "--prompt-len", "8", "--out-dir", str(tmp_path)])
     assert code == EXIT_OK
     analysis = json.loads((tmp_path / "analysis.json").read_text())
+    assert set(analysis) == {"spectra"}
     assert [row["layer"] for row in analysis["spectra"]] == list(range(SMALL.n_layers + 1))
-    assert analysis["comm_table"]
-    for row in analysis["comm_table"]:
-        assert row["d"] == SMALL.d_model
-        assert row["k"] == ratio_to_rank(row["ratio"], row["d"], row["n"])
-        assert row["packet_bytes"] == packet_bytes_for(row["d"], row["n"], row["k"])
-        assert row["baseline_bytes"] == 4 * row["d"] * row["n"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"] is None
     assert manifest["seed"] == 9876
+
+
+def test_analyze_refuses_a_prompt_as_long_as_a_line(checkpoint, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["analyze", "--checkpoint", str(checkpoint), "--prompt-len", "40",
+                 "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert "prompt_len must be in 1..39" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_writes_a_checkpoint_its_losses_and_a_manifest(tmp_path):
+    out = tmp_path / "run" / "model.ckpt"
+    assert main(["train", "--steps", "2", "--corpus-lines", "20", "--out", str(out)]) == EXIT_OK
+    assert load_model(out).config == ModelConfig(seed=0)
+    loss_log = tmp_path / "run" / "model.ckpt.losses.json"
+    losses = json.loads(loss_log.read_text())
+    assert len(losses) == 2 and np.isfinite(losses).all()
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert (manifest["command"], manifest["config"], manifest["seed"]) == ("train", None, 0)
+    assert manifest["outputs"] == [str(out), str(loss_log)]
+    assert manifest["checkpoint_sha256"] == file_sha256(out)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "0"], "--steps must be >= 1"),
+    (["--steps", "2", "--corpus", "EMPTY"], "corpus is empty"),
+], ids=["zero_steps", "empty_corpus"])
+def test_a_refused_train_run_creates_no_directory(tmp_path, capsys, flags, message):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    out = tmp_path / "run" / "model.ckpt"
+    flags = [str(empty) if f == "EMPTY" else f for f in flags]
+    assert main(["train", *flags, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.parent.exists()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pfid.protocol
 import pfid.transport
-from pfid.adversary import AdversaryMode, eavesdrop_generate, remnant_generate
+from pfid.adversary import AdversaryMode, eavesdrop_generate, paired_packets, remnant_generate
 from pfid.linalg import TruncatedFactors, truncated_svd
 from pfid.model import ModelConfig, SamplingParams, init_model
 from pfid.protocol import (
@@ -28,6 +28,7 @@ from pfid.protocol import (
     _handle_request,
     max_request_bytes,
     client_generate,
+    packet_bytes_for,
     decode_packet,
     encode_error_packet,
     encode_packet,
@@ -343,6 +344,40 @@ def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):
                      for _ in range(2))
     assert len(first.steps) == 12
     assert_traces_equal(first, second)
+
+
+def test_captured_packets_pair_in_wire_order(tiny_model, tokenizer):
+    config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=4))
+    sim = run_local_sim(tiny_model, tokenizer, config, PROMPT)
+    pairs = paired_packets(sim.capture)
+    assert [(up.step, down.step) for up, down in pairs] == [(i, i) for i in range(4)]
+    assert [(up.k, down.k) for up, down in pairs] == \
+        [(s.k_head, s.k_tail) for s in sim.local.steps]
+
+
+@pytest.mark.parametrize("reorder, message", [
+    (lambda c: c[:-1], "capture of 7 frames ends on an unanswered request"),
+    (lambda c: [c[1], c[0], *c[2:]], "capture frame 0 is a role 2 packet of step 0, "
+                                     "not a head packet of step 0"),
+    (lambda c: c[:4] + c[2:], "capture frame 4 is a role 1 packet of step 1, "
+                              "not a head packet of step 2"),
+    (lambda c: c[:2] + c[4:], "capture frame 2 is a role 1 packet of step 2, "
+                              "not a head packet of step 1"),
+], ids=["odd_count", "swapped_pair", "repeated_step", "step_gap"])
+def test_a_capture_out_of_wire_order_is_a_field_error(tiny_model, tokenizer, reorder, message):
+    config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=4))
+    capture = run_local_sim(tiny_model, tokenizer, config, PROMPT).capture
+    with pytest.raises(FieldError, match=message):
+        paired_packets(reorder(capture))
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (64, 16), (16, 64), (64, 128)])
+def test_packet_bytes_for_covers_both_packet_kinds(d, n):
+    h = np.random.default_rng(d * n).standard_normal((d, n))
+    assert packet_bytes_for(d, n, 0) == len(encode_raw_packet(h, ROLE_HEAD_RAW, 0))
+    for k in {1, min(d, n)}:
+        factors = truncated_svd(h, k)
+        assert packet_bytes_for(d, n, k) == len(encode_packet(factors, ROLE_HEAD_FACTORS, 0))
 
 
 FUZZ_MODEL = init_model(ModelConfig(n_layers=3, d_model=8, n_heads=2, d_ff=16,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pfid.model import ModelConfig, SamplingParams, init_model, pipeline_generate
-from pfid.tokenizer import ascii96
+from pfid.tokenizer import Tokenizer
 from pfid.training import loss_and_grads, train
 
 
@@ -42,7 +42,7 @@ def test_gradients_match_central_finite_differences():
 def test_loss_decreases():
     model = init_model(small_config())
     corpus = "alice met bob at the park.\nbob met alice at the lake.\n" * 20
-    ids = np.asarray(ascii96().encode(corpus), dtype=np.int64)
+    ids = np.asarray(Tokenizer().encode(corpus), dtype=np.int64)
     rng = np.random.default_rng(0)
     windows = np.stack([ids[s : s + 17] for s in rng.integers(0, len(ids) - 18, size=8)])
     before = loss_and_grads(model, windows[:, :-1], windows[:, 1:])[0]
@@ -73,7 +73,7 @@ def test_train_does_not_mutate_input_model():
 def test_overfit_two_lines_memorizes_continuations():
     """After enough steps on a 2-line corpus, greedy decoding reproduces
     each line from its first 3 characters."""
-    tok = ascii96()
+    tok = Tokenizer()
     lines = ["erik owes fiona 92 dollars.", "hana calls gleb every monday."]
     corpus = ("\n".join(lines) + "\n") * 1
     model = init_model(small_config(max_seq=40))

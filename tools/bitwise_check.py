@@ -53,11 +53,11 @@ def dump() -> dict[str, str]:
     from pfid.model import ModelConfig, SamplingParams, init_model
     from pfid.protocol import PfidConfig, run_local_sim
     from pfid.shard import split
-    from pfid.tokenizer import ascii96
+    from pfid.tokenizer import Tokenizer
     from pfid.training import _sample_windows, loss_and_grads, train
 
     model = init_model(ModelConfig(seed=7))
-    tok = ascii96()
+    tok = Tokenizer()
     corpus = build_corpus()
     settings = {
         "sampled": PfidConfig(sampling=SamplingParams(max_new_tokens=28, seed=3)),
