@@ -18,7 +18,7 @@ import enum
 import numpy as np
 
 from .model import sample_next
-from .protocol import (HEAD_ROLES, MID_ROLES, FieldError, Packet, PfidConfig, decode_packet,
+from .protocol import (HEAD_ROLES, MID_ROLES, Packet, PfidConfig, ProtocolError, decode_packet,
                        reprivatize)
 from .shard import Shard, head_cache, head_forward, middle_forward, tail_forward
 from .tokenizer import Tokenizer
@@ -42,13 +42,13 @@ def paired_packets(capture: list[bytes]) -> list[tuple[Packet, Packet]]:
     stream. Refuses a stream that does not alternate head and middle
     packets of steps 0, 1, 2, ..., or that ends on an unanswered request."""
     if len(capture) % 2:
-        raise FieldError(f"capture of {len(capture)} frames ends on an unanswered request")
+        raise ProtocolError(f"capture of {len(capture)} frames ends on an unanswered request")
     packets = [decode_packet(raw) for raw in capture]
     for i, pkt in enumerate(packets):
         side, roles = ("middle", MID_ROLES) if i % 2 else ("head", HEAD_ROLES)
         if pkt.role not in roles or pkt.step != i // 2:
-            raise FieldError(f"capture frame {i} is a role {pkt.role} packet of step {pkt.step}, "
-                             f"not a {side} packet of step {i // 2}")
+            raise ProtocolError(f"capture frame {i} is a role {pkt.role} packet of step "
+                                f"{pkt.step}, not a {side} packet of step {i // 2}")
     return list(zip(packets[0::2], packets[1::2]))
 
 

@@ -30,7 +30,7 @@ _HEADER = struct.Struct("<8sIIIIIIIIIIQ")
 # n_layers, d_model, n_heads, d_ff, vocab_size, max_seq, seed
 
 
-class CheckpointError(Exception):
+class CheckpointError(ValueError):
     pass
 
 

@@ -39,7 +39,9 @@ prompt's length against the model's max_seq. A bad value anywhere exits 2
 before the first session runs and before `--out-dir` is created. No
 command creates its output directory for a run it refuses.
 
-Exit codes: 0 success, 2 config error, 3 transport error, 4 protocol error,
+Exit codes: 0 success; 2 a refused setting or file, a `ValueError`
+(`CheckpointError` among them) or an `OSError`; 3 a `TransportError`; 4 a
+`ProtocolError`, a malformed reply or an error reply, whose code it names;
 1 anything else.
 
 A client and `pfid serve` on one host compete for its cores: run both with
@@ -80,34 +82,27 @@ EXIT_PROTOCOL = 4
 _TAIL_ONLY = AdversaryMode.TAIL_ONLY.value
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _parse_layer_range(text: str) -> ShardSpec:
     try:
         k, n = (int(x) for x in text.split(","))
     except ValueError:
-        raise ConfigError(f"a layer range is 'K,N', got {text!r}") from None
+        raise ValueError(f"a layer range is 'K,N', got {text!r}") from None
     return ShardSpec(k, n)
 
 
 def _load_config(args) -> PfidConfig:
     """--config's PfidConfig (or the defaults) with each setting flag that
     the command takes and the user gave written over its key."""
-    try:
-        doc = (PfidConfig.load(args.config) if args.config else PfidConfig()).to_dict()
-        if getattr(args, "layer_range", None):
-            spec = _parse_layer_range(args.layer_range)
-            doc["layer_range"] = [spec.split_k, spec.split_n]
-        for key in ("omega", "phead", "ptail", "max_new_tokens", "seed"):
-            if getattr(args, key, None) is not None:
-                doc[key] = getattr(args, key)
-        if getattr(args, "greedy", False):
-            doc["greedy"] = True
-        return PfidConfig.from_dict(doc)
-    except (ValueError, OSError) as e:
-        raise ConfigError(str(e)) from e
+    doc = (PfidConfig.load(args.config) if args.config else PfidConfig()).to_dict()
+    if getattr(args, "layer_range", None):
+        spec = _parse_layer_range(args.layer_range)
+        doc["layer_range"] = [spec.split_k, spec.split_n]
+    for key in ("omega", "phead", "ptail", "max_new_tokens", "seed"):
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
+    if getattr(args, "greedy", False):
+        doc["greedy"] = True
+    return PfidConfig.from_dict(doc)
 
 
 def _write_manifest(out_dir: Path, command: str, config: PfidConfig | None,
@@ -129,7 +124,7 @@ def _write_manifest(out_dir: Path, command: str, config: PfidConfig | None,
 
 def cmd_train(args) -> int:
     if args.steps < 1:
-        raise ConfigError("--steps must be >= 1")
+        raise ValueError("--steps must be >= 1")
     out = Path(args.out)
     if args.corpus:
         corpus = Path(args.corpus).read_text()
@@ -156,7 +151,7 @@ def cmd_generate(args) -> int:
     if args.connect is not None:
         host, _, port = args.connect.rpartition(":")
         if not (host and port.isdecimal() and 1 <= int(port) <= 65535):
-            raise ConfigError(f"--connect is HOST:PORT with PORT in 1-65535, got {args.connect!r}")
+            raise ValueError(f"--connect is HOST:PORT with PORT in 1-65535, got {args.connect!r}")
         # no reply is longer than the largest request this model takes
         transport = connect_tcp(host, int(port), max_frame=max_request_bytes(model.config))
     sim = run_local_sim(model, tokenizer, config, args.prompt, transport)
@@ -184,7 +179,7 @@ def cmd_generate(args) -> int:
 
 def cmd_serve(args) -> int:
     if not 0 <= args.port <= 65535:
-        raise ConfigError(f"--port must be in 0-65535, got {args.port}")
+        raise ValueError(f"--port must be in 0-65535, got {args.port}")
     config = _load_config(args)
     middle = split(ckpt.load_model(args.checkpoint), config.spec).middle()
     server = TcpServer(lambda t: serve_middle(middle, t, config), host=args.host, port=args.port,
@@ -201,7 +196,7 @@ def cmd_serve(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.prompts < 1:
-        raise ConfigError("--prompts must be >= 1")
+        raise ValueError("--prompts must be >= 1")
     config = _load_config(args)
     tokenizer = Tokenizer()
     model = ckpt.load_model(args.checkpoint)
@@ -351,16 +346,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except TransportError as e:
         print(f"transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
     except ProtocolError as e:
         print(f"protocol error: {e}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ValueError, OSError, ckpt.CheckpointError) as e:
+    except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_corpus", "heldout_prompts", "DEFAULT_PROMPT_LEN", "MAX_LINE_LEN"]
-
-DEFAULT_PROMPT_LEN = 12
+__all__ = ["build_corpus", "heldout_prompts", "MAX_LINE_LEN"]
 
 _NAMES = ["alice", "bob", "carol", "dana", "erik", "fiona", "gleb", "hana"]
 _INDICES = ["nasdaq", "dax", "ftse", "nikkei", "hangseng"]
@@ -66,9 +64,7 @@ def build_corpus(n_lines: int = 600, seed: int = 1234) -> str:
     return "".join(_line(rng) + "\n" for _ in range(n_lines))
 
 
-def heldout_prompts(
-    n: int = 50, seed: int = 9876, prompt_len: int = DEFAULT_PROMPT_LEN
-) -> list[str]:
+def heldout_prompts(n: int = 50, seed: int = 9876, *, prompt_len: int) -> list[str]:
     """Evaluation prompts: prefixes of fresh lines drawn from the same
     templates with a different seed. Only lines longer than prompt_len
     qualify, so prompt_len must be below MAX_LINE_LEN."""

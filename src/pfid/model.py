@@ -133,6 +133,8 @@ class SamplingParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not (0 < self.top_p <= 1):

@@ -59,12 +59,6 @@ from .transport import CapturingTransport, TransportError
 
 __all__ = [
     "ProtocolError",
-    "BadMagicError",
-    "BadVersionError",
-    "LengthMismatchError",
-    "FieldError",
-    "OversizeError",
-    "RemoteProtocolError",
     "PfidConfig",
     "Packet",
     "SimResult",
@@ -121,36 +115,12 @@ ORTHONORMALITY_TOL = 1e-4
 
 
 class ProtocolError(Exception):
-    pass
+    """A packet defect, or a peer's error reply; code is the ERR_* value
+    that names it on the wire."""
 
-
-class BadMagicError(ProtocolError):
-    code = ERR_BAD_MAGIC
-
-
-class BadVersionError(ProtocolError):
-    code = ERR_BAD_VERSION
-
-
-class LengthMismatchError(ProtocolError):
-    code = ERR_LENGTH
-
-
-class FieldError(ProtocolError):
-    code = ERR_FIELDS
-
-
-class OversizeError(ProtocolError):
-    code = ERR_OVERSIZE
-
-
-class RemoteProtocolError(ProtocolError):
-    """The peer replied with an error packet."""
-
-    def __init__(self, code: int, step: int, message: str):
-        super().__init__(f"remote error code {code} at step {step}: {message}")
+    def __init__(self, message: str, code: int = ERR_FIELDS):
+        super().__init__(message)
         self.code = code
-        self.step = step
 
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
@@ -247,26 +217,26 @@ class Packet:
             return np.ascontiguousarray(self.matrix.T)
         if self.factors is not None:
             return np.ascontiguousarray(reconstruct(self.factors).T)
-        raise FieldError(f"packet role {self.role} carries no hidden state")
+        raise ProtocolError(f"packet role {self.role} carries no hidden state")
 
 
 def encode_packet(f: TruncatedFactors, role: int, step: int) -> bytes:
     """Factor packet: header + binary32 U | s | V."""
     if role not in (ROLE_HEAD_FACTORS, ROLE_MID_FACTORS):
-        raise FieldError(f"role {role} is not a factor-packet role")
+        raise ProtocolError(f"role {role} is not a factor-packet role")
     header = _HDR.pack(PKT_MAGIC, PKT_VERSION, role, f.orig_rows, f.orig_cols, f.k, step)
     with np.errstate(over="ignore"):
         payload = np.concatenate([f.u.ravel(), f.s, f.v.ravel()]).astype("<f4")
     # decode_packet refuses non-finite factors, so refuse to send them.
     if not np.isfinite(payload).all():
-        raise FieldError("factors overflow binary32")
+        raise ProtocolError("factors overflow binary32")
     return header + payload.tobytes()
 
 
 def encode_raw_packet(h: Matrix, role: int, step: int) -> bytes:
     """Lossless float64 packet used when truncation is bypassed."""
     if role not in (ROLE_HEAD_RAW, ROLE_MID_RAW):
-        raise FieldError(f"role {role} is not a raw-packet role")
+        raise ProtocolError(f"role {role} is not a raw-packet role")
     h = check_matrix(h, "h")
     header = _HDR.pack(PKT_MAGIC, PKT_VERSION, role, h.shape[0], h.shape[1], 0, step)
     return header + np.ascontiguousarray(h, dtype="<f8").tobytes()
@@ -279,24 +249,26 @@ def encode_error_packet(code: int, step: int, message: str) -> bytes:
 
 
 def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
-    """Parse and validate one packet; raises a distinct error per defect.
-
-    A header with more than max_n positions is refused (OversizeError)
-    before the payload is looked at.
+    """Parse and validate one packet. Each defect raises a ProtocolError
+    whose code names it: ERR_LENGTH for a short header or a length off the
+    size law, ERR_BAD_MAGIC, ERR_BAD_VERSION, ERR_OVERSIZE for more than
+    max_n positions (read from the header before the payload is looked at)
+    and ERR_FIELDS for any other field or payload defect.
     """
     if len(data) < PKT_HEADER_BYTES:
-        raise LengthMismatchError(
-            f"packet is {len(data)} bytes, shorter than the {PKT_HEADER_BYTES}-byte header"
+        raise ProtocolError(
+            f"packet is {len(data)} bytes, shorter than the {PKT_HEADER_BYTES}-byte header",
+            ERR_LENGTH,
         )
     magic, version, role, d, n, k, step = _HDR.unpack_from(data)
     if magic != PKT_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
+        raise ProtocolError(f"bad magic {magic!r}", ERR_BAD_MAGIC)
     if version != PKT_VERSION:
-        raise BadVersionError(f"unsupported packet version {version}")
+        raise ProtocolError(f"unsupported packet version {version}", ERR_BAD_VERSION)
     if role not in _ROLES:
-        raise FieldError(f"unknown packet role {role}")
+        raise ProtocolError(f"unknown packet role {role}")
     if max_n is not None and n > max_n:
-        raise OversizeError(f"{n} positions exceed the limit of {max_n}")
+        raise ProtocolError(f"{n} positions exceed the limit of {max_n}", ERR_OVERSIZE)
     payload = data[PKT_HEADER_BYTES:]
 
     if role == ROLE_ERROR:
@@ -304,16 +276,16 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
                       error_code=k, error_message=payload.decode("utf-8", "replace"))
 
     if d < 1 or n < 1:
-        raise FieldError(f"bad dimensions d={d}, n={n}")
+        raise ProtocolError(f"bad dimensions d={d}, n={n}")
     raw = role in (ROLE_HEAD_RAW, ROLE_MID_RAW)
     if raw and k != 0:
-        raise FieldError(f"raw packet must carry k=0, got k={k}")
+        raise ProtocolError(f"raw packet must carry k=0, got k={k}")
     if not raw and not (1 <= k <= min(d, n)):
-        raise FieldError(f"inconsistent rank k={k} for {d}x{n}")
+        raise ProtocolError(f"inconsistent rank k={k} for {d}x{n}")
     expect = packet_bytes_for(d, n, k)
     if len(data) != expect:
-        raise LengthMismatchError(
-            f"packet is {len(data)} bytes, expected {expect} for d={d} n={n} k={k}"
+        raise ProtocolError(
+            f"packet is {len(data)} bytes, expected {expect} for d={d} n={n} k={k}", ERR_LENGTH
         )
 
     if raw:
@@ -322,13 +294,13 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
         # binary32 factors, and above about 1e154 the RMS norm's squares
         # overflow float64.
         if not (np.abs(h) <= _F32_MAX).all():
-            raise FieldError("raw payload values must be finite and within the binary32 range")
+            raise ProtocolError("raw payload values must be finite and within the binary32 range")
         return Packet(role=role, step=step, d=d, n=n, k=0, matrix=h)
 
     words = np.frombuffer(payload, dtype="<f4")
     # Checked before the cast: casting a signalling NaN raises a warning.
     if not np.isfinite(words).all():
-        raise FieldError("factor payload contains non-finite values")
+        raise ProtocolError("factor payload contains non-finite values")
     values = words.astype(np.float64)
     u = values[:d * k].reshape(d, k)
     s = values[d * k:(d + 1) * k]
@@ -336,12 +308,12 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
     try:
         factors = TruncatedFactors(u=u, s=s, v=v, orig_rows=d, orig_cols=n, k=k)
     except ValueError as e:
-        raise FieldError(f"factor payload violates invariants: {e}") from e
+        raise ProtocolError(f"factor payload violates invariants: {e}") from e
     eye = np.eye(k)
     for mat, label in ((u, "u"), (v, "v")):
         gram_err = np.linalg.norm(mat.T @ mat - eye)
         if gram_err > ORTHONORMALITY_TOL * k:
-            raise FieldError(f"{label} columns not orthonormal (|g - I|_F = {gram_err:.2e})")
+            raise ProtocolError(f"{label} columns not orthonormal (|g - I|_F = {gram_err:.2e})")
     return Packet(role=role, step=step, d=d, n=n, k=k, factors=factors)
 
 
@@ -414,13 +386,14 @@ def client_generate(
         try:
             reply = decode_packet(reply_bytes)
         except ProtocolError as e:
-            raise type(e)(f"malformed reply at step {step}: {e}") from e
+            raise ProtocolError(f"malformed reply at step {step}: {e}", e.code) from e
         if reply.role == ROLE_ERROR:
-            raise RemoteProtocolError(reply.error_code, reply.step, reply.error_message)
+            raise ProtocolError(f"remote error code {reply.error_code} at step {reply.step}: "
+                                f"{reply.error_message}", reply.error_code)
         if reply.role not in MID_ROLES:
-            raise FieldError(f"unexpected reply role {reply.role} at step {step}")
+            raise ProtocolError(f"unexpected reply role {reply.role} at step {step}")
         if reply.step != step or (reply.d, reply.n) != (d, n):
-            raise FieldError(
+            raise ProtocolError(
                 f"reply desync at step {step}: got step={reply.step}, {reply.d}x{reply.n}"
             )
 
@@ -449,19 +422,14 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
     try:
         # The served model bounds n: refuse oversize requests from the header.
         pkt = decode_packet(data, max_n=middle.config.max_seq)
+        if pkt.role not in HEAD_ROLES:
+            raise ProtocolError(f"server expects head packets, got role {pkt.role}")
+        if pkt.d != middle.config.d_model:
+            raise ProtocolError(
+                f"hidden size {pkt.d} does not match served model ({middle.config.d_model})"
+            )
     except ProtocolError as e:
-        return encode_error_packet(getattr(e, "code", ERR_FIELDS), step, str(e))
-    step = pkt.step
-
-    if pkt.role not in HEAD_ROLES:
-        return encode_error_packet(
-            ERR_FIELDS, step, f"server expects head packets, got role {pkt.role}"
-        )
-    if pkt.d != middle.config.d_model:
-        return encode_error_packet(
-            ERR_FIELDS, step,
-            f"hidden size {pkt.d} does not match served model ({middle.config.d_model})",
-        )
+        return encode_error_packet(e.code, step, str(e))
 
     try:
         h_mid = middle_forward(middle, pkt.hidden())

@@ -135,6 +135,25 @@ def test_reply_longer_than_the_model_allows_exits_3(checkpoint, tmp_path, capsys
     assert f"frame length {limit + 1} exceeds limit {limit}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, line", [
+    (["--layer-range", "3"], "a layer range is 'K,N', got '3'"),
+    (["--config", "{tmp}/missing.json"],
+     "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    (["--config", "{tmp}/nan.json"], "temperature must be finite, got nan"),
+    (["--config", "{tmp}/inf.json"], "temperature must be finite, got inf"),
+], ids=["layer_range_without_comma", "missing_config", "nan_temperature", "inf_temperature"])
+def test_a_refused_generate_run_exits_2_and_creates_no_directory(checkpoint, tmp_path, capsys,
+                                                                  flags, line):
+    """JSON reads NaN and Infinity, and a temperature of either would
+    sample garbage, not refuse."""
+    (tmp_path / "nan.json").write_text(json.dumps({"temperature": float("nan")}))
+    (tmp_path / "inf.json").write_text(json.dumps({"temperature": float("inf")}))
+    out = tmp_path / "out"
+    assert generate(checkpoint, out, *(f.format(tmp=tmp_path) for f in flags)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {line.format(tmp=tmp_path)}\n"
+    assert not out.exists()
+
+
 def test_flags_over_config_keys_land_in_the_manifest(checkpoint, tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"omega": 0.25, "phead": 0.5}))
@@ -280,6 +299,7 @@ def test_sweep_rows_follow_the_grid_order(checkpoint, tmp_path):
     (["--phead-grid", "0.5,0.6,1.5"], "phead must be in [0, 1), got 1.5"),
     (["--layer-range-grid", "1,2;1,3"], "need 0 < K < N < n_layers, got K=1, N=3, n_layers=3"),
     (["--prompt-len", "12"], "prompt's 12 tokens leave no room for a new one within max_seq 12"),
+    (["--prompts", "0"], "--prompts must be >= 1"),
 ])
 def test_sweep_refuses_a_bad_grid_before_its_first_session(tmp_path, monkeypatch, capsys,
                                                            flags, message):

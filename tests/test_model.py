@@ -308,6 +308,13 @@ class TestSampling:
         with pytest.raises(ValueError, match="top_k"):
             SamplingParams(top_k=0)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        """nan <= 0 and inf <= 0 are both false, so positivity alone lets
+        them through."""
+        with pytest.raises(ValueError, match=f"temperature must be finite, got {temperature}"):
+            SamplingParams(temperature=temperature)
+
 
 class TestPipelineGenerate:
     def test_deterministic(self):

@@ -16,13 +16,14 @@ from pfid.adversary import AdversaryMode, eavesdrop_generate, paired_packets, re
 from pfid.linalg import TruncatedFactors, truncated_svd
 from pfid.model import ModelConfig, SamplingParams, init_model
 from pfid.protocol import (
+    ERR_FIELDS,
     MID_ROLES,
     PKT_HEADER_BYTES,
     ROLE_ERROR,
     ROLE_HEAD_FACTORS,
     ROLE_HEAD_RAW,
     ROLE_MID_FACTORS,
-    FieldError,
+    ROLE_MID_RAW,
     PfidConfig,
     ProtocolError,
     _handle_request,
@@ -367,8 +368,9 @@ def test_captured_packets_pair_in_wire_order(tiny_model, tokenizer):
 def test_a_capture_out_of_wire_order_is_a_field_error(tiny_model, tokenizer, reorder, message):
     config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=4))
     capture = run_local_sim(tiny_model, tokenizer, config, PROMPT).capture
-    with pytest.raises(FieldError, match=message):
+    with pytest.raises(ProtocolError, match=message) as refused:
         paired_packets(reorder(capture))
+    assert refused.value.code == ERR_FIELDS
 
 
 @pytest.mark.parametrize("d, n", [(1, 1), (64, 16), (16, 64), (64, 128)])
@@ -423,6 +425,56 @@ def mutated_packets(draw):
     return bytes(data)
 
 
+_RAW = encode_raw_packet(_H, ROLE_HEAD_RAW, 3)
+# name: (request, then the server's reply code, step and message)
+WIRE_DEFECTS = {
+    "bad_magic": (b"NOTAPKT!" + _RAW[8:], 1, 3, "bad magic b'NOTAPKT!'"),
+    "bad_version": (_RAW[:8] + struct.pack("<I", 9) + _RAW[12:], 2, 3,
+                    "unsupported packet version 9"),
+    "short_header": (_RAW[:10], 3, 2**32 - 1,
+                     "packet is 10 bytes, shorter than the 32-byte header"),
+    "wrong_length": (_RAW[:-8], 3, 3, "packet is 344 bytes, expected 352 for d=8 n=5 k=0"),
+    "unknown_role": (_RAW[:12] + struct.pack("<I", 9) + _RAW[16:], 4, 3,
+                     "unknown packet role 9"),
+    "mid_role": (encode_raw_packet(_H, ROLE_MID_RAW, 3), 4, 3,
+                 "server expects head packets, got role 4"),
+    "wrong_width": (encode_raw_packet(_H[:7], ROLE_HEAD_RAW, 3), 4, 3,
+                    "hidden size 7 does not match served model (8)"),
+    "oversize": (encode_raw_packet(np.ones((8, 13)), ROLE_HEAD_RAW, 3), 5, 3,
+                 "13 positions exceed the limit of 12"),
+    "middle_raises": (encode_raw_packet(np.full((8, 5), 1e38), ROLE_HEAD_RAW, 3), 6, 3,
+                      "server failure: factors overflow binary32"),
+}
+# defects that decode_packet lets through and the server refuses itself
+SERVER_REFUSALS = {"mid_role", "wrong_width", "middle_raises"}
+
+
+@pytest.mark.parametrize("defect", WIRE_DEFECTS)
+def test_each_wire_defect_gets_its_error_code_and_the_server_keeps_serving(defect):
+    request, code, step, message = WIRE_DEFECTS[defect]
+    client_end, server_end = InMemoryTransport.pair()
+    server = threading.Thread(target=serve_middle, args=(FUZZ_MIDDLE, server_end, FUZZ_CONFIG))
+    server.start()
+    try:
+        client_end.send_bytes(request)
+        refused = decode_packet(client_end.recv_bytes())
+        client_end.send_bytes(_RAW)
+        served = decode_packet(client_end.recv_bytes())
+    finally:
+        client_end.close()
+        server.join(timeout=10)
+    assert not server.is_alive()
+    assert (refused.role, refused.error_code, refused.step, refused.error_message) == (
+        ROLE_ERROR, code, step, message)
+    assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 3, 8, 5)
+    if defect in SERVER_REFUSALS:
+        decode_packet(request, FUZZ_MODEL.config.max_seq)
+    else:
+        with pytest.raises(ProtocolError) as raised:
+            decode_packet(request, FUZZ_MODEL.config.max_seq)
+        assert (raised.value.code, str(raised.value)) == (code, message)
+
+
 def test_a_reply_that_overflows_binary32_is_an_error_reply():
     """A raw request within the binary32 range whose middle output is too
     large for binary32 factors gets an internal-error reply, not factors
@@ -456,8 +508,9 @@ def test_a_non_finite_factor_word_is_a_field_error_without_a_warning(part, word)
     data[PKT_HEADER_BYTES + 4 * at:PKT_HEADER_BYTES + 4 * at + 4] = struct.pack("<I", word)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FieldError, match="non-finite"):
+        with pytest.raises(ProtocolError, match="non-finite") as refused:
             decode_packet(bytes(data))
+    assert refused.value.code == ERR_FIELDS
 
 
 def test_a_non_orthonormal_factor_packet_is_a_field_error():
@@ -467,8 +520,9 @@ def test_a_non_orthonormal_factor_packet_is_a_field_error():
     f = TruncatedFactors(u=np.ones((8, 2)), s=np.array([2.0, 1.0]), v=np.eye(5)[:, :2],
                          orig_rows=8, orig_cols=5, k=2)
     data = encode_packet(f, ROLE_HEAD_FACTORS, 3)
-    with pytest.raises(FieldError, match="u columns not orthonormal"):
+    with pytest.raises(ProtocolError, match="u columns not orthonormal") as refused:
         decode_packet(data)
+    assert refused.value.code == ERR_FIELDS
     reply = decode_packet(_handle_request(FUZZ_MIDDLE, FUZZ_CONFIG, data))
     assert (reply.role, reply.error_code, reply.step) == (ROLE_ERROR, 4, 3)
 

@@ -16,7 +16,10 @@ the pipeline baseline, both eavesdroppers and the remnant decoder. Then
 5 `train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
 a temporary binary32 checkpoint of the same model: `report.json`,
 `traces.json` and `capture.pfidcap` from one `generate`, and `sweep.json`
-from a 2 x 2 `sweep` grid. That makes 102 outputs.
+from a 2 x 2 `sweep` grid. Then the refusals: the exit code and stderr,
+with the temporary directory's path masked, of 9 CLI runs that are refused,
+and the server's error reply (`_handle_request`'s bytes) to 9 defective
+requests, one of each defect a reply code names. That makes 120 outputs.
 """
 
 import contextlib
@@ -51,7 +54,8 @@ def dump() -> dict[str, str]:
     from pfid.cli import main as cli_main
     from pfid.corpus import build_corpus
     from pfid.model import ModelConfig, SamplingParams, init_model
-    from pfid.protocol import PfidConfig, run_local_sim
+    from pfid.protocol import (ROLE_HEAD_RAW, ROLE_MID_RAW, PfidConfig, _handle_request,
+                               encode_raw_packet, run_local_sim)
     from pfid.shard import split
     from pfid.tokenizer import Tokenizer
     from pfid.training import _sample_windows, loss_and_grads, train
@@ -105,6 +109,52 @@ def dump() -> dict[str, str]:
         for path in ("generate/report.json", "generate/traces.json",
                      "generate/capture.pfidcap", "sweep/sweep.json"):
             out[path] = hashlib.sha256((tmp / path).read_bytes()).hexdigest()
+
+        (tmp / "greedy.json").write_text('{"greedy": "false"}')
+
+        def generate(*flags, checkpoint="model.ckpt", prompt="hello"):
+            return ["generate", "--checkpoint", str(tmp / checkpoint), "--prompt", prompt,
+                    "--out-dir", str(tmp / "refused"), *flags]
+
+        refused = {
+            "layer_range_without_comma": generate("--layer-range", "3"),
+            "sweep_zero_prompts": ["sweep", "--checkpoint", str(tmp / "model.ckpt"),
+                                   "--prompts", "0", "--out-dir", str(tmp / "refused")],
+            "missing_config": generate("--config", str(tmp / "missing.json")),
+            "train_zero_steps": ["train", "--steps", "0", "--out", str(tmp / "refused/m.ckpt")],
+            "serve_port_70000": ["serve", "--checkpoint", str(tmp / "model.ckpt"),
+                                 "--port", "70000"],
+            "prompt_fills_max_seq": generate(prompt="x" * 128),
+            "missing_checkpoint": generate(checkpoint="missing.ckpt"),
+            "connect_without_port": generate("--connect", "x"),
+            "greedy_as_a_string": generate("--config", str(tmp / "greedy.json")),
+        }
+        for name, argv in refused.items():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+            text = f"{code}\n{err.getvalue()}".replace(str(tmp), "TMP")
+            out[f"refused.{name}"] = hashlib.sha256(text.encode()).hexdigest()
+
+    config = PfidConfig()
+    middle = split(model, config.spec).middle()
+    h = np.random.default_rng(13).standard_normal((model.config.d_model, 5))
+    raw = encode_raw_packet(h, ROLE_HEAD_RAW, 3)
+    defects = {
+        "bad_magic": b"NOTAPKT!" + raw[8:],
+        "bad_version": raw[:8] + (9).to_bytes(4, "little") + raw[12:],
+        "short_header": raw[:10],
+        "wrong_length": raw[:-8],
+        "unknown_role": raw[:12] + (9).to_bytes(4, "little") + raw[16:],
+        "mid_role": encode_raw_packet(h, ROLE_MID_RAW, 3),
+        "wrong_width": encode_raw_packet(h[1:], ROLE_HEAD_RAW, 3),
+        "oversize": encode_raw_packet(np.ones((h.shape[0], model.config.max_seq + 1)),
+                                      ROLE_HEAD_RAW, 3),
+        "middle_raises": encode_raw_packet(np.full(h.shape, 1e38), ROLE_HEAD_RAW, 3),
+    }
+    for name, request in defects.items():
+        reply = _handle_request(middle, config, request)
+        out[f"reply.{name}"] = hashlib.sha256(reply).hexdigest()
     return out
 
 
