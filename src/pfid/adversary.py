@@ -1,14 +1,12 @@
-"""Eavesdropper and remnant decoders.
+"""Eavesdropper decoders.
 
-The eavesdropper is a worst-case interceptor: it holds copies of the public
-head/tail shards, knows the sampling parameters and seed, and sees every
-packet on the wire. Whatever output gap remains against the local client is
-attributable solely to withheld information (the full head output and the
-discarded singular components).
-
-The remnant decoder is a client-side diagnostic: it pushes the truncation
-residual H_head - H_head_hat through middle + tail to surface what the
-withheld components alone encode.
+An eavesdropper holds copies of the public head/tail shards, knows the
+sampling parameters and seed, and sees every packet on the wire. Both of its
+modes decode outputs only: they push each intercepted reply through the
+public tail, with or without the intercepted upstream packet added back, and
+sample as the client does. They do not try to read the prompt, which the
+wire gives away to anyone holding the public head (ROADMAP item 1), so the
+output gap against the local client bounds nothing about privacy.
 """
 
 from __future__ import annotations
@@ -20,14 +18,13 @@ import numpy as np
 from .model import sample_next
 from .protocol import (HEAD_ROLES, MID_ROLES, Packet, PfidConfig, ProtocolError, decode_packet,
                        reprivatize)
-from .shard import Shard, head_cache, head_forward, middle_forward, tail_forward
+from .shard import Shard, tail_forward
 from .tokenizer import Tokenizer
 from .trace import GenerationTrace, StepRecord
 
 __all__ = [
     "AdversaryMode",
     "eavesdrop_generate",
-    "remnant_generate",
     "paired_packets",
 ]
 
@@ -85,45 +82,3 @@ def eavesdrop_generate(
     trace.text = tokenizer.decode(trace.token_ids).rstrip("\n")
     trace.stop_reason = "stream_end"
     return trace
-
-
-def remnant_generate(
-    sharded: Shard,
-    local_trace: GenerationTrace,
-    capture: list[bytes],
-    tokenizer: Tokenizer,
-) -> GenerationTrace:
-    """Greedily decode the truncation residual through middle + tail.
-
-    Requires full local access: the client recomputes its own head outputs
-    for the token prefixes it actually generated, through a head cache as
-    `client_generate` does so that they equal what it sent, and subtracts
-    what the wire carried. With no truncation the residual is exactly zero
-    and the run is flagged as an empty remnant.
-    """
-    prompt_ids = tokenizer.encode(local_trace.prompt)
-    chosen = local_trace.token_ids
-    trace = GenerationTrace(
-        mode="remnant", prompt=local_trace.prompt, seed=local_trace.seed,
-        config=dict(local_trace.config),
-    )
-    all_zero = True
-    cache = head_cache(sharded)
-    for step, (up, _) in enumerate(paired_packets(capture)):
-        context = prompt_ids + chosen[:step]
-        h_head = head_forward(sharded, context, cache)
-        residual = h_head - up.hidden()
-        if np.any(residual):
-            all_zero = False
-        h_mid = middle_forward(sharded, residual)
-        lg = tail_forward(sharded, h_mid)
-        tok = int(np.argmax(lg))
-        trace.steps.append(StepRecord(token_id=tok, logits=lg, k_head=up.k, n_ctx=up.n))
-    if all_zero:
-        trace.stop_reason = "empty_remnant"
-        trace.text = ""
-    else:
-        trace.stop_reason = "stream_end"
-        trace.text = tokenizer.decode(trace.token_ids).rstrip("\n")
-    return trace
-

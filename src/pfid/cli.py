@@ -25,15 +25,15 @@ the same bytes. Once the session has run and been scored, it writes to
 `--out-dir`:
 
 - `traces.json`, each scenario's trace keyed by its mode: `pipeline`,
-  `local`, `eavesdropper:<mode>` and `remnant`;
+  `local` and `eavesdropper:<mode>` for both eavesdropper modes;
 - `report.json`, `build_eval_report`'s scores of those scenarios against
   the pipeline and the output gap, the local client's score minus an
   eavesdropper's;
 - `capture.pfidcap`, the session's packets in wire order, each prefixed
   by its length as a little-endian u32.
 
-It prints the score table. `sweep` scores its sessions the same way,
-without the remnant, and writes the mean of each setting's reports. It
+It prints the score table. `sweep` scores its sessions the same way, over
+the same four scenarios, and writes the mean of each setting's reports. It
 checks its whole grid first: every point's settings and split, and every
 prompt's length against the model's max_seq. A bad value anywhere exits 2
 before the first session runs and before `--out-dir` is created. No
@@ -63,7 +63,7 @@ from typing import Any
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adversary import AdversaryMode, remnant_generate
+from .adversary import AdversaryMode
 from .corpus import build_corpus, heldout_prompts
 from .metrics import build_eval_report, spectra_report
 from .model import ModelConfig, init_model
@@ -155,9 +155,8 @@ def cmd_generate(args) -> int:
         # no reply is longer than the largest request this model takes
         transport = connect_tcp(host, int(port), max_frame=max_request_bytes(model.config))
     sim = run_local_sim(model, tokenizer, config, args.prompt, transport)
-    remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tokenizer)
-    report = build_eval_report(sim, remnant)
-    traces = [sim.pipeline, sim.local, *sim.eavesdroppers.values(), remnant]
+    report = build_eval_report(sim)
+    traces = [sim.pipeline, sim.local, *sim.eavesdroppers.values()]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traces_path = out_dir / "traces.json"

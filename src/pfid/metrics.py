@@ -153,14 +153,14 @@ def _score(trace: GenerationTrace, pipeline: GenerationTrace) -> dict[str, float
     }
 
 
-def build_eval_report(sim: SimResult, remnant: GenerationTrace | None = None) -> dict[str, Any]:
+def build_eval_report(sim: SimResult) -> dict[str, Any]:
     """Score one session against its pipeline baseline.
 
     Returns {"scenarios": {mode: {"bleu", "token_agreement",
     "mean_logit_kl"}}, "output_gap": {eavesdropper mode: {"bleu",
     "token_agreement"}}, "comm_ratio": sim.comm_ratio}. Each scenario is
-    labelled by its trace's `mode`: "pipeline", "local",
-    "eavesdropper:<mode>" and, when a remnant is given, "remnant". The
+    one trace of the session, labelled by its `mode`: "pipeline", "local"
+    and "eavesdropper:<mode>" for each of `sim.eavesdroppers`. The
     output gap is the local client's score minus the eavesdropper's: how
     much better the client decodes than someone replaying its traffic. It
     measures output agreement, not whether the prompt can be read off the
@@ -171,8 +171,6 @@ def build_eval_report(sim: SimResult, remnant: GenerationTrace | None = None) ->
     scenario; `sweep` still counts that prompt in its means.
     """
     traces = [sim.pipeline, sim.local, *sim.eavesdroppers.values()]
-    if remnant is not None:
-        traces.append(remnant)
     scenarios = {t.mode: _score(t, sim.pipeline) for t in traces}
     local = scenarios[sim.local.mode]
     output_gap = {

@@ -80,7 +80,6 @@ __all__ = [
     "serve_middle",
     "check_prompt_fits",
     "run_local_sim",
-    "comm_bytes",
     "packet_bytes_for",
     "max_request_bytes",
 ]
@@ -457,13 +456,6 @@ def serve_middle(middle: Shard, transport, config: PfidConfig) -> None:
         transport.close()
 
 
-def comm_bytes(trace: GenerationTrace, d: int) -> tuple[int, int]:
-    """Wire bytes of a trace, both directions, and the untruncated baseline
-    of one binary32 d x n matrix per direction per token."""
-    sent = sum(s.bytes_up + s.bytes_down for s in trace.steps)
-    return sent, sum(2 * 4 * d * s.n_ctx for s in trace.steps)
-
-
 @dataclass
 class SimResult:
     pipeline: GenerationTrace
@@ -546,7 +538,9 @@ def run_local_sim(
         )
         for mode in AdversaryMode
     }
-    sent, baseline = comm_bytes(local, model.config.d_model)
+    # wire bytes both ways, against one binary32 d x n matrix per direction per token
+    sent = sum(s.bytes_up + s.bytes_down for s in local.steps)
+    baseline = sum(2 * 4 * model.config.d_model * s.n_ctx for s in local.steps)
     return SimResult(
         pipeline=pipeline,
         local=local,

@@ -133,6 +133,8 @@ def train(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     if not corpus:
         raise ValueError("corpus is empty")
     ids = np.asarray(Tokenizer().encode(corpus), dtype=np.int64)

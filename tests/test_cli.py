@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from pfid.adversary import AdversaryMode, remnant_generate
+from pfid.adversary import AdversaryMode
 from pfid.checkpoint import file_sha256, load_model, save_model
 from pfid.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, main
 from pfid.corpus import heldout_prompts
@@ -331,17 +331,27 @@ def test_report_writes_the_output_gap(checkpoint, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {"scenarios", "output_gap", "comm_ratio"}
     assert set(report["output_gap"]) == {mode.value for mode in AdversaryMode}
-    assert set(report["scenarios"]) == {"pipeline", "local", "remnant",
+    assert set(report["scenarios"]) == {"pipeline", "local",
                                         *(f"eavesdropper:{m.value}" for m in AdversaryMode)}
     traces = json.loads((tmp_path / "traces.json").read_text())
     assert set(traces) == set(report["scenarios"])
-    model = load_model(checkpoint)
-    sim = run_local_sim(model, Tokenizer(), GENERATE_CONFIG, "hello")
-    remnant = remnant_generate(split(model, GENERATE_CONFIG.spec), sim.local, sim.capture,
-                               Tokenizer())
+    sim = run_local_sim(load_model(checkpoint), Tokenizer(), GENERATE_CONFIG, "hello")
     assert traces["local"] == sim.local.to_dict()
-    assert traces["remnant"] == remnant.to_dict()
-    assert report == build_eval_report(sim, remnant)
+    assert report == build_eval_report(sim)
+
+
+def test_generate_and_sweep_score_the_same_scenarios(checkpoint, tmp_path):
+    assert generate(checkpoint, tmp_path / "generate") == EXIT_OK
+    code = main(["sweep", "--checkpoint", str(checkpoint), "--prompts", "1",
+                 "--prompt-len", "8", "--layer-range-grid", "1,2", "--max-new-tokens", "4",
+                 "--out-dir", str(tmp_path / "sweep")])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "generate" / "report.json").read_text())
+    [row] = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert list(report["scenarios"]) == list(row["scenarios"]) == [
+        "eavesdropper:tail_only", "eavesdropper:tail_plus_intercepted_head", "local",
+        "pipeline"]
+    assert set(report["output_gap"]) == set(row["output_gap"])
 
 
 def test_report_is_no_longer_a_command(checkpoint, tmp_path):
@@ -476,7 +486,9 @@ def test_train_writes_a_checkpoint_its_losses_and_a_manifest(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--steps", "0"], "--steps must be >= 1"),
     (["--steps", "2", "--corpus", "EMPTY"], "corpus is empty"),
-], ids=["zero_steps", "empty_corpus"])
+    *[(["--steps", "2", "--corpus-lines", "20", "--lr", lr], "lr must be finite and positive")
+      for lr in ("nan", "inf", "0", "-1")],
+], ids=["zero_steps", "empty_corpus", "lr_nan", "lr_inf", "lr_zero", "lr_negative"])
 def test_a_refused_train_run_creates_no_directory(tmp_path, capsys, flags, message):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

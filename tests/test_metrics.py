@@ -166,16 +166,15 @@ class TestBuildEvalReport:
 
     def test_an_empty_pipeline_text_scores_bleu_zero_everywhere(self):
         logits = [[1.0, 0.0], [0.0, 1.0]]
-        pipeline, local, eaves, remnant = (
+        pipeline, local, eaves = (
             _trace([0, 1], logits, mode) for mode in
-            ("pipeline", "local", "eavesdropper:tail_only", "remnant"))
+            ("pipeline", "local", "eavesdropper:tail_only"))
         eaves.steps[1].token_id = 0
         local.text = eaves.text = "ab"
         sim = SimResult(pipeline=pipeline, local=local, eavesdroppers={"tail_only": eaves},
                         capture=[], wire_bytes=0, comm_ratio=0.25)
-        report = build_eval_report(sim, remnant)
-        assert list(report["scenarios"]) == ["pipeline", "local", "eavesdropper:tail_only",
-                                             "remnant"]
+        report = build_eval_report(sim)
+        assert list(report["scenarios"]) == ["pipeline", "local", "eavesdropper:tail_only"]
         for scores in report["scenarios"].values():
             assert scores["bleu"] == 0.0
         assert report["scenarios"]["local"]["token_agreement"] == 1.0

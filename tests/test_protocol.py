@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pfid.protocol
 import pfid.transport
-from pfid.adversary import AdversaryMode, eavesdrop_generate, paired_packets, remnant_generate
+from pfid.adversary import AdversaryMode, eavesdrop_generate, paired_packets
 from pfid.linalg import TruncatedFactors, truncated_svd
 from pfid.model import ModelConfig, SamplingParams, init_model
 from pfid.protocol import (
@@ -105,24 +105,13 @@ def test_default_run_with_the_head_cache_gives_the_reference_tokens(
     assert cached.token_ids == reference.token_ids
 
 
-def test_bypass_remnant_is_empty(tiny_model, tokenizer):
-    """The remnant decoder recomputes the head rows the client sent, so with
-    raw packets the truncation residual is exactly zero."""
-    sim = run_local_sim(tiny_model, tokenizer, BYPASS, PROMPT)
-    sharded = split(tiny_model, BYPASS.spec)
-    remnant = remnant_generate(sharded, sim.local, sim.capture, tokenizer)
-    assert remnant.stop_reason == "empty_remnant"
-    assert len(remnant.steps) == 24
-
-
 def test_step_logits_own_their_row(tiny_model, tokenizer):
     """A trace keeps each step's last logits row, not the n x vocab array it
     was cut from."""
     config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=8))
     sim = run_local_sim(tiny_model, tokenizer, config, PROMPT)
-    remnant = remnant_generate(split(tiny_model, config.spec), sim.local, sim.capture, tokenizer)
     vocab = tiny_model.config.vocab_size
-    for trace in (sim.pipeline, sim.local, *sim.eavesdroppers.values(), remnant):
+    for trace in (sim.pipeline, sim.local, *sim.eavesdroppers.values()):
         assert len(trace.steps) == 8
         for s in trace.steps:
             assert s.logits.shape == (vocab,)
@@ -341,10 +330,6 @@ def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):
         assert len(first.steps) == 12
         assert_traces_equal(first, second)
         assert_traces_equal(first, sim.eavesdroppers[mode.value])
-    first, second = (remnant_generate(sharded, sim.local, sim.capture, tokenizer)
-                     for _ in range(2))
-    assert len(first.steps) == 12
-    assert_traces_equal(first, second)
 
 
 def test_captured_packets_pair_in_wire_order(tiny_model, tokenizer):

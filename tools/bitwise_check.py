@@ -11,15 +11,15 @@ exits with status 1 when any of them differ. There is no tolerance.
 The outputs are, for 4 prompt lengths x 4 settings (sampled, greedy,
 dense-SVD and bypass), on the untrained `ModelConfig(seed=7)`:
 the captured wire bytes; every step's token and logits for the local client,
-the pipeline baseline, both eavesdroppers and the remnant decoder. Then
-`loss_and_grads` on a 12 x 32 batch, and the losses and final weights of
-5 `train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
+the pipeline baseline and both eavesdroppers. Then `loss_and_grads` on a
+12 x 32 batch, and the losses and final weights of 5 `train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
 a temporary binary32 checkpoint of the same model: `report.json`,
 `traces.json` and `capture.pfidcap` from one `generate`, and `sweep.json`
 from a 2 x 2 `sweep` grid. Then the refusals: the exit code and stderr,
-with the temporary directory's path masked, of 9 CLI runs that are refused,
-and the server's error reply (`_handle_request`'s bytes) to 9 defective
-requests, one of each defect a reply code names. That makes 120 outputs.
+with the temporary directory's path masked, of 10 CLI runs that are
+refused, and the server's error reply (`_handle_request`'s bytes) to 9
+defective requests, one of each defect a reply code names. That makes 105
+outputs.
 """
 
 import contextlib
@@ -49,7 +49,6 @@ def _trace_digest(trace) -> str:
 
 
 def dump() -> dict[str, str]:
-    from pfid.adversary import remnant_generate
     from pfid.checkpoint import save_model
     from pfid.cli import main as cli_main
     from pfid.corpus import build_corpus
@@ -84,8 +83,6 @@ def dump() -> dict[str, str]:
             out[f"{key}.pipeline"] = _trace_digest(sim.pipeline)
             for mode, trace in sorted(sim.eavesdroppers.items()):
                 out[f"{key}.eavesdrop.{mode}"] = _trace_digest(trace)
-            remnant = remnant_generate(split(model, config.spec), sim.local, sim.capture, tok)
-            out[f"{key}.remnant"] = _trace_digest(remnant)
 
     ids = np.asarray(tok.encode(corpus), dtype=np.int64)
     inputs, targets = _sample_windows(ids, 12, 32, np.random.default_rng(11))
@@ -128,6 +125,8 @@ def dump() -> dict[str, str]:
             "missing_checkpoint": generate(checkpoint="missing.ckpt"),
             "connect_without_port": generate("--connect", "x"),
             "greedy_as_a_string": generate("--config", str(tmp / "greedy.json")),
+            "train_lr_nan": ["train", "--steps", "2", "--corpus-lines", "20", "--lr", "nan",
+                             "--out", str(tmp / "refused/m.ckpt")],
         }
         for name, argv in refused.items():
             err = io.StringIO()
