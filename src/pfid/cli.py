@@ -12,11 +12,12 @@ a run manifest (`manifest.json`) next to its outputs:
 Settings: `--config FILE` loads a `PfidConfig` from JSON, and a flag per
 setting overrides one key. Each command takes only the settings it reads:
 `generate` all eight (`--config`, `--layer-range`, `--omega`, `--phead`,
-`--ptail`, `--greedy`, `--max-new-tokens`, `--seed`); `serve`, which runs
-only the middle, `--config`, `--layer-range` and `--ptail`; `sweep`, whose
-`*-grid` flags set the split, omega, phead and ptail, `--config`,
-`--greedy`, `--max-new-tokens` and `--seed`; `train` and `analyze` none,
-and their manifests record `"config": null`.
+`--ptail`, `--greedy`, `--max-new-tokens`, `--seed`), but not `--ptail`
+with `--connect`, where the server's `--ptail` sets the reply's rank;
+`serve`, which runs only the middle, `--config`, `--layer-range` and
+`--ptail`; `sweep`, whose `*-grid` flags set the split, omega, phead and
+ptail, `--config`, `--greedy`, `--max-new-tokens` and `--seed`; `train`
+and `analyze` none, and their manifests record `"config": null`.
 
 `generate` runs its session through `run_local_sim`: in process, where the
 middle answers each request in the caller's thread, or over a TCP
@@ -106,15 +107,13 @@ def _load_config(args) -> PfidConfig:
 
 
 def _write_manifest(out_dir: Path, command: str, config: PfidConfig | None,
-                    checkpoint_path: str | None, scenarios: list[str],
-                    outputs: list[str], seed: int) -> Path:
+                    checkpoint_path: str | None, outputs: list[str], seed: int) -> Path:
     manifest = {
         "command": command,
         "config": config.to_dict() if config else None,
         "seed": seed,
         "checkpoint": checkpoint_path,
         "checkpoint_sha256": ckpt.file_sha256(checkpoint_path) if checkpoint_path else None,
-        "scenarios": scenarios,
         "outputs": outputs,
     }
     path = out_dir / "manifest.json"
@@ -136,14 +135,16 @@ def cmd_train(args) -> int:
     ckpt.save_model(out, result.model)
     loss_log = out.with_suffix(out.suffix + ".losses.json")
     loss_log.write_text(json.dumps(result.losses) + "\n")
-    _write_manifest(out.parent, "train", None, str(out), [], [str(out), str(loss_log)],
-                    args.seed)
+    _write_manifest(out.parent, "train", None, str(out), [str(out), str(loss_log)], args.seed)
     print(f"checkpoint: {out}")
     print(f"loss: {result.losses[0]:.4f} -> {result.losses[-1]:.4f} over {args.steps} steps")
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
+    if args.connect is not None and args.ptail is not None:
+        raise ValueError("--ptail does not reach a server over --connect: "
+                         "set it with pfid serve --ptail")
     config = _load_config(args)
     tokenizer = Tokenizer()
     model = ckpt.load_model(args.checkpoint)
@@ -165,7 +166,7 @@ def cmd_generate(args) -> int:
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     capture_path = out_dir / "capture.pfidcap"
     save_capture(capture_path, sim.capture)
-    _write_manifest(out_dir, "generate", config, args.checkpoint, list(report["scenarios"]),
+    _write_manifest(out_dir, "generate", config, args.checkpoint,
                     [str(traces_path), str(report_path), str(capture_path)],
                     config.sampling.seed)
     print(f"[local] {sim.local.text!r}")
@@ -239,8 +240,8 @@ def cmd_sweep(args) -> int:
               f"bytes/tok={row['bytes_per_token']:.0f}")
     table_path = out_dir / "sweep.json"
     table_path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "sweep", config, args.checkpoint,
-                    ["sweep"], [str(table_path)], config.sampling.seed)
+    _write_manifest(out_dir, "sweep", config, args.checkpoint, [str(table_path)],
+                    config.sampling.seed)
     print(f"table: {table_path}")
     return EXIT_OK
 
@@ -261,8 +262,8 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "analysis.json"
     report_path.write_text(json.dumps({"spectra": spectra}, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "analyze", None, args.checkpoint,
-                    ["analyze"], [str(report_path)], args.prompt_seed)
+    _write_manifest(out_dir, "analyze", None, args.checkpoint, [str(report_path)],
+                    args.prompt_seed)
     print(f"\nper-layer spectrum (tail_q={args.tail_q}):")
     print(f"{'layer':>5} {'nuclear':>10} {'tail_share':>10}")
     for row in spectra:

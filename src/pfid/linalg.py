@@ -47,31 +47,24 @@ class TruncatedFactors:
     """Rank-k factor triple (U, s, V) of a d x n matrix.
 
     u is d x k with orthonormal columns, s the k singular values sorted
-    non-increasing, v is n x k with orthonormal columns. The original shape
-    rides along so the factors are self-describing on the wire. Construction
-    checks shapes, signs and order; `pfid.protocol.decode_packet` checks
-    orthonormality, where factors arrive from outside.
+    non-increasing, v is n x k with orthonormal columns; d, n and k are
+    read off these shapes. Construction checks shapes, signs and order;
+    `pfid.protocol.decode_packet` checks orthonormality, where factors
+    arrive from outside.
     """
 
     u: Matrix
     s: np.ndarray
     v: Matrix
-    orig_rows: int
-    orig_cols: int
-    k: int
 
     def __post_init__(self) -> None:
         u, s, v = np.asarray(self.u), np.asarray(self.s), np.asarray(self.v)
-        if not (1 <= self.k <= min(self.orig_rows, self.orig_cols)):
+        if not (u.ndim == v.ndim == 2 and s.ndim == 1 and u.shape[1] == v.shape[1] == s.size
+                and 1 <= s.size <= min(u.shape[0], v.shape[0])):
             raise ValueError(
-                f"rank k={self.k} out of range for {self.orig_rows}x{self.orig_cols}"
+                f"factor shapes u {u.shape}, s {s.shape}, v {v.shape} are not"
+                " d x k, (k,), n x k with 1 <= k <= min(d, n)"
             )
-        if u.shape != (self.orig_rows, self.k):
-            raise ValueError(f"u has shape {u.shape}, expected ({self.orig_rows}, {self.k})")
-        if v.shape != (self.orig_cols, self.k):
-            raise ValueError(f"v has shape {v.shape}, expected ({self.orig_cols}, {self.k})")
-        if s.shape != (self.k,):
-            raise ValueError(f"s has shape {s.shape}, expected ({self.k},)")
         # NaN fails both comparisons, so it is rejected wherever it sits.
         if not (s[-1] >= 0 and (s[:-1] >= s[1:]).all()):
             raise ValueError("singular values must be nonnegative and non-increasing")
@@ -108,7 +101,7 @@ def truncated_svd(h: Matrix, k: int, seed: int | None = None) -> TruncatedFactor
         factors = u[:, :k], s[:k], vt[:k].T
     u, s, v = factors
     u, v = _fix_signs(u, v)
-    return TruncatedFactors(u=u, s=s, v=v, orig_rows=d, orig_cols=n, k=k)
+    return TruncatedFactors(u, s, v)
 
 
 def _gram_factors(h: Matrix, k: int) -> tuple[Matrix, np.ndarray, Matrix] | None:

@@ -223,7 +223,7 @@ def encode_packet(f: TruncatedFactors, role: int, step: int) -> bytes:
     """Factor packet: header + binary32 U | s | V."""
     if role not in (ROLE_HEAD_FACTORS, ROLE_MID_FACTORS):
         raise ProtocolError(f"role {role} is not a factor-packet role")
-    header = _HDR.pack(PKT_MAGIC, PKT_VERSION, role, f.orig_rows, f.orig_cols, f.k, step)
+    header = _HDR.pack(PKT_MAGIC, PKT_VERSION, role, f.u.shape[0], f.v.shape[0], f.s.size, step)
     with np.errstate(over="ignore"):
         payload = np.concatenate([f.u.ravel(), f.s, f.v.ravel()]).astype("<f4")
     # decode_packet refuses non-finite factors, so refuse to send them.
@@ -305,7 +305,7 @@ def decode_packet(data: bytes, max_n: int | None = None) -> Packet:
     s = values[d * k:(d + 1) * k]
     v = values[(d + 1) * k:].reshape(n, k)
     try:
-        factors = TruncatedFactors(u=u, s=s, v=v, orig_rows=d, orig_cols=n, k=k)
+        factors = TruncatedFactors(u, s, v)
     except ValueError as e:
         raise ProtocolError(f"factor payload violates invariants: {e}") from e
     eye = np.eye(k)

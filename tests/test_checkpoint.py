@@ -50,6 +50,16 @@ def test_roles(tmp_path, model):
             load_model(with_role(tmp_path, model, role))
 
 
+def test_a_seed_beyond_u64_is_refused_before_the_file_opens(tmp_path):
+    """The header stores the seed as a u64."""
+    path = tmp_path / "m.ckpt"
+    big = init_model(ModelConfig(n_layers=3, d_model=8, n_heads=2, d_ff=8, vocab_size=8,
+                                 max_seq=4, seed=2**64))
+    with pytest.raises(CheckpointError, match=f"^seed {2**64} not representable as u64$"):
+        save_model(path, big)
+    assert not path.exists()
+
+
 def test_bad_magic_rejected(tmp_path, model):
     path = tmp_path / "m.ckpt"
     save_model(path, model)

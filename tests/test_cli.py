@@ -44,6 +44,9 @@ def test_generate_in_sim_mode_exits_0(checkpoint, tmp_path):
     assert generate(checkpoint, tmp_path / "out") == EXIT_OK
     for name in ("traces.json", "report.json", "capture.pfidcap", "manifest.json"):
         assert (tmp_path / "out" / name).is_file()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(manifest) == {"command", "config", "seed", "checkpoint", "checkpoint_sha256",
+                             "outputs"}
 
 
 def test_closed_port_exits_3(checkpoint, tmp_path):
@@ -141,15 +144,33 @@ def test_reply_longer_than_the_model_allows_exits_3(checkpoint, tmp_path, capsys
      "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
     (["--config", "{tmp}/nan.json"], "temperature must be finite, got nan"),
     (["--config", "{tmp}/inf.json"], "temperature must be finite, got inf"),
-], ids=["layer_range_without_comma", "missing_config", "nan_temperature", "inf_temperature"])
+    (["--config", "{tmp}/text.json"],
+     "config file {tmp}/text.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["--config", "{tmp}/array.json"], "config file {tmp}/array.json must hold a JSON object"),
+    (["--checkpoint", "{tmp}/v2.ckpt"], "unsupported checkpoint version 2"),
+    (["--connect", "127.0.0.1:{port}", "--ptail", "0.1"],
+     "--ptail does not reach a server over --connect: set it with pfid serve --ptail"),
+], ids=["layer_range_without_comma", "missing_config", "nan_temperature", "inf_temperature",
+        "config_not_json", "config_array", "checkpoint_version_2", "ptail_over_connect"])
 def test_a_refused_generate_run_exits_2_and_creates_no_directory(checkpoint, tmp_path, capsys,
                                                                   flags, line):
     """JSON reads NaN and Infinity, and a temperature of either would
-    sample garbage, not refuse."""
+    sample garbage, not refuse. A later --checkpoint overrides generate()'s.
+    The server truncates its replies at its own ptail, so a client's --ptail
+    over --connect is refused before any socket opens: the port is closed."""
     (tmp_path / "nan.json").write_text(json.dumps({"temperature": float("nan")}))
     (tmp_path / "inf.json").write_text(json.dumps({"temperature": float("inf")}))
+    (tmp_path / "text.json").write_text("omega = 0.5\n")
+    (tmp_path / "array.json").write_text(json.dumps([{"omega": 0.5}]))
+    data = bytearray(checkpoint.read_bytes())
+    struct.pack_into("<I", data, 8, 2)  # the version field of the header
+    (tmp_path / "v2.ckpt").write_bytes(bytes(data))
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
     out = tmp_path / "out"
-    assert generate(checkpoint, out, *(f.format(tmp=tmp_path) for f in flags)) == EXIT_CONFIG
+    assert generate(checkpoint, out,
+                    *(f.format(tmp=tmp_path, port=port) for f in flags)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {line.format(tmp=tmp_path)}\n"
     assert not out.exists()
 
@@ -397,12 +418,10 @@ def test_serve_refuses_a_role_1_checkpoint(checkpoint, tmp_path, capsys):
         assert f"unknown checkpoint role {role}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, code", [
-    ([], EXIT_OK),
-    (["--layer-range", "2,3"], EXIT_OK),
-])
-def test_serve_refuses_a_layer_range_other_than_the_middle_exports(tmp_path, monkeypatch, capsys,
-                                                                   flags, code):
+@pytest.mark.parametrize("flags", [[], ["--layer-range", "2,3"]],
+                         ids=["default_split", "layer_range_2_3"])
+def test_serve_splits_a_full_checkpoint_with_or_without_a_layer_range(tmp_path, monkeypatch,
+                                                                      capsys, flags):
     """serve takes a full checkpoint with or without --layer-range: it
     splits the model itself, so no second split can disagree."""
     # serve returns once it is listening, instead of serving until interrupted
@@ -411,7 +430,7 @@ def test_serve_refuses_a_layer_range_other_than_the_middle_exports(tmp_path, mon
                              max_seq=40, seed=1)  # the default split (3, 5) fits
     full = tmp_path / "full.ckpt"
     save_model(full, init_model(six_layers))
-    assert main(["serve", "--checkpoint", str(full), "--port", "0", *flags]) == code
+    assert main(["serve", "--checkpoint", str(full), "--port", "0", *flags]) == EXIT_OK
     assert "serving middle shard" in capsys.readouterr().out
 
 

@@ -84,7 +84,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(8)
         h = rng.standard_normal((10, 7))
         f = truncated_svd(h, k=5)
-        for j in range(f.k):
+        for j in range(f.s.size):
             col = f.u[:, j]
             nz = np.nonzero(col)[0]
             assert col[nz[0]] >= 0
@@ -256,39 +256,36 @@ class TestReconstruct:
         assert np.allclose(reconstruct(truncated_svd(h, k=2)), h, atol=1e-12)
 
     def test_zero_singular_values_give_zero_matrix(self):
-        f = TruncatedFactors(
-            u=np.eye(4)[:, :2], s=np.zeros(2), v=np.eye(3)[:, :2],
-            orig_rows=4, orig_cols=3, k=2,
-        )
+        f = TruncatedFactors(u=np.eye(4)[:, :2], s=np.zeros(2), v=np.eye(3)[:, :2])
         assert np.array_equal(reconstruct(f), np.zeros((4, 3)))
 
 
 class TestTruncatedFactorsInvariants:
     def test_rejects_increasing_singular_values(self):
         with pytest.raises(ValueError, match="non-increasing"):
-            TruncatedFactors(
-                u=np.eye(3)[:, :2], s=np.array([1.0, 2.0]), v=np.eye(3)[:, :2],
-                orig_rows=3, orig_cols=3, k=2,
-            )
+            TruncatedFactors(u=np.eye(3)[:, :2], s=np.array([1.0, 2.0]), v=np.eye(3)[:, :2])
 
     @pytest.mark.parametrize("s", [[np.nan, 1.0], [2.0, np.nan], [2.0, -0.5], [1.0, 1.5],
                                    [np.nan]])
     def test_rejects_nan_negative_and_increasing_values(self, s):
         with pytest.raises(ValueError, match="non-increasing"):
-            TruncatedFactors(u=np.eye(3)[:, :len(s)], s=np.array(s), v=np.eye(3)[:, :len(s)],
-                             orig_rows=3, orig_cols=3, k=len(s))
+            TruncatedFactors(u=np.eye(3)[:, :len(s)], s=np.array(s), v=np.eye(3)[:, :len(s)])
 
     @pytest.mark.parametrize("s", [[1.0, 1.0], [2.0, 0.0], [0.0, 0.0], [3.0]])
     def test_accepts_equal_values_and_trailing_zeros(self, s):
-        TruncatedFactors(u=np.eye(3)[:, :len(s)], s=np.array(s), v=np.eye(3)[:, :len(s)],
-                         orig_rows=3, orig_cols=3, k=len(s))
+        TruncatedFactors(u=np.eye(3)[:, :len(s)], s=np.array(s), v=np.eye(3)[:, :len(s)])
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            TruncatedFactors(
-                u=np.eye(3)[:, :2], s=np.array([2.0, 1.0]), v=np.eye(4)[:, :2],
-                orig_rows=3, orig_cols=3, k=2,
-            )
+        with pytest.raises(ValueError, match=r"u \(3, 2\), s \(2,\), v \(4, 3\)"):
+            TruncatedFactors(u=np.eye(3)[:, :2], s=np.array([2.0, 1.0]), v=np.eye(4)[:, :3])
+
+    def test_rejects_a_rank_above_min_d_n(self):
+        with pytest.raises(ValueError, match=r"u \(2, 3\), s \(3,\), v \(5, 3\)"):
+            TruncatedFactors(u=np.ones((2, 3)), s=np.array([3.0, 2.0, 1.0]), v=np.eye(5)[:, :3])
+
+    def test_rejects_an_s_whose_length_is_not_k(self):
+        with pytest.raises(ValueError, match=r"u \(4, 2\), s \(3,\), v \(3, 2\)"):
+            TruncatedFactors(u=np.eye(4)[:, :2], s=np.array([3.0, 2.0, 1.0]), v=np.eye(3)[:, :2])
 
 
 class TestRatioToRank:

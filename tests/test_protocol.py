@@ -487,7 +487,7 @@ def test_a_non_finite_factor_word_is_a_field_error_without_a_warning(part, word)
     """A signalling NaN warns when cast to float64, so finiteness is checked
     on the binary32 words before the cast."""
     f = truncated_svd(_H, 2)
-    d, n, k = f.orig_rows, f.orig_cols, f.k
+    (d, k), n = f.u.shape, f.v.shape[0]
     at = {"u": 0, "s": d * k, "v": (d + 1) * k + n * k - 1}[part]
     data = bytearray(encode_packet(f, ROLE_HEAD_FACTORS, 3))
     data[PKT_HEADER_BYTES + 4 * at:PKT_HEADER_BYTES + 4 * at + 4] = struct.pack("<I", word)
@@ -502,8 +502,7 @@ def test_a_non_orthonormal_factor_packet_is_a_field_error():
     """Orthonormality is checked where factors arrive from outside: a packet
     whose u columns are not orthonormal is refused by decode_packet, and
     the server answers it with an ERR_FIELDS reply."""
-    f = TruncatedFactors(u=np.ones((8, 2)), s=np.array([2.0, 1.0]), v=np.eye(5)[:, :2],
-                         orig_rows=8, orig_cols=5, k=2)
+    f = TruncatedFactors(u=np.ones((8, 2)), s=np.array([2.0, 1.0]), v=np.eye(5)[:, :2])
     data = encode_packet(f, ROLE_HEAD_FACTORS, 3)
     with pytest.raises(ProtocolError, match="u columns not orthonormal") as refused:
         decode_packet(data)

@@ -16,10 +16,11 @@ the pipeline baseline and both eavesdroppers. Then `loss_and_grads` on a
 a temporary binary32 checkpoint of the same model: `report.json`,
 `traces.json` and `capture.pfidcap` from one `generate`, and `sweep.json`
 from a 2 x 2 `sweep` grid. Then the refusals: the exit code and stderr,
-with the temporary directory's path masked, of 10 CLI runs that are
+with the temporary directory's path masked, of 11 CLI runs that are
 refused, and the server's error reply (`_handle_request`'s bytes) to 9
-defective requests, one of each defect a reply code names. That makes 105
-outputs.
+defective requests, one of each defect a reply code names. That makes 106
+outputs. One refused run gives `--ptail` with `--connect` to port 1 of
+127.0.0.1, where no server is expected to listen.
 """
 
 import contextlib
@@ -124,6 +125,7 @@ def dump() -> dict[str, str]:
             "prompt_fills_max_seq": generate(prompt="x" * 128),
             "missing_checkpoint": generate(checkpoint="missing.ckpt"),
             "connect_without_port": generate("--connect", "x"),
+            "ptail_over_connect": generate("--connect", "127.0.0.1:1", "--ptail", "0.1"),
             "greedy_as_a_string": generate("--config", str(tmp / "greedy.json")),
             "train_lr_nan": ["train", "--steps", "2", "--corpus-lines", "20", "--lr", "nan",
                              "--out", str(tmp / "refused/m.ckpt")],
