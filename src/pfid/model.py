@@ -257,7 +257,7 @@ def _attention_block(
     p /= p.sum(axis=-1, keepdims=True)
     attn = (p @ v).swapaxes(-3, -2).reshape(*lead, q_rows, d)
     if cache is not None:
-        cache += (x, inv, a, q, k, v, p, attn)
+        cache += (x, inv, q, k, v, p)
     return attn @ lw.wo
 
 
@@ -268,7 +268,7 @@ def _feed_forward_block(lw: LayerWeights, x: np.ndarray, cache: list | None) -> 
     u1 = b @ lw.w1
     g, t = _gelu_with_tanh(u1)
     if cache is not None:
-        cache += (x, inv, b, u1, g, t)
+        cache += (x, inv, u1, t)
     return g @ lw.w2
 
 
@@ -283,8 +283,10 @@ def layer_forward(
     """One pre-norm decoder block on a (..., T, d) state with causal masking.
 
     Inference runs it on n x d, training on B x T x d. When a cache list is
-    given, the 14 intermediates the analytic backward pass needs are
-    appended to it.
+    given, the 10 intermediates the analytic backward pass cannot cheaply
+    rebuild are appended to it: x, its RMS scale, q, k, v and the attention
+    probabilities, then the feed-forward input, its RMS scale, the GELU
+    input and the GELU's tanh.
 
     `past` = (keys, values, start) makes x the rows of positions start,
     start + 1, ... of an n x d state whose earlier positions this layer has

@@ -4,6 +4,12 @@ Forward, analytic backward and an Adam loop, all in numpy float64. The
 forward pass is model.layer_forward itself, run on B x T x d with its
 intermediates cached for the backward pass, so finite-difference checks
 validate the real inference path.
+
+The cache holds only what the backward cannot cheaply rebuild. The
+backward rebuilds each block's normed input, the attention output and the
+GELU output with the forward's own operations in the forward's order, so
+they have the forward's bits, and it drops each layer's cache once that
+layer is done.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ def loss_and_grads(
     nll = -np.log(np.maximum(probs[idx_b, idx_t, targets], 1e-300))
     loss = float(nll.mean())
 
-    grads = {name: np.zeros_like(w) for name, w in model.param_tensors().items()}
+    # Every other gradient is assigned once below; these two are summed into.
+    grads = {name: np.zeros_like(getattr(model, name)) for name in ("embedding", "pos")}
 
     dlg = probs.copy()
     dlg[idx_b, idx_t, targets] -= 1.0
@@ -76,18 +83,23 @@ def loss_and_grads(
 
     for i in reversed(range(cfg.n_layers)):
         lw = model.layers[i]
-        x_in, inv1, a, q, k, v, p, attn, x_mid, inv2, b, u1, g, t = caches[i]
+        x_in, inv1, q, k, v, p, x_mid, inv2, u1, t = caches.pop()
 
-        # feed-forward branch
+        # feed-forward branch; g and b are rebuilt as the forward built them
+        g = 0.5 * u1
+        g *= 1.0 + t
         grads[f"layer{i}.w2"] = _flat(g).T @ _flat(dx)
         dg = dx @ lw.w2.T
         du1 = _gelu_backward(dg, u1, t)
+        b = x_mid * inv2
+        b *= lw.g_ff
         grads[f"layer{i}.w1"] = _flat(b).T @ _flat(du1)
         db = du1 @ lw.w1.T
         dx_mid, grads[f"layer{i}.g_ff"] = _rms_backward(db, x_mid, inv2, lw.g_ff)
         dx_mid += dx
 
-        # attention branch
+        # attention branch; attn and a are rebuilt as the forward built them
+        attn = (p @ v).swapaxes(-3, -2).reshape(B, T, cfg.d_model)
         grads[f"layer{i}.wo"] = _flat(attn).T @ _flat(dx_mid)
         dattn = (dx_mid @ lw.wo.T).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
         dp = dattn @ v.transpose(0, 1, 3, 2)
@@ -98,6 +110,8 @@ def loss_and_grads(
         dq = dq.transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
         dk = dk.transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
         dv = dv.transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
+        a = x_in * inv1
+        a *= lw.g_attn
         grads[f"layer{i}.wq"] = _flat(a).T @ _flat(dq)
         grads[f"layer{i}.wk"] = _flat(a).T @ _flat(dk)
         grads[f"layer{i}.wv"] = _flat(a).T @ _flat(dv)

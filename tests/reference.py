@@ -81,7 +81,7 @@ def reference_layer_forward(lw, x, n_heads, cache=None, past=None, q_rows=None):
     p = _softmax_rows(np.where(mask, -np.inf, q @ k.swapaxes(-1, -2) / np.sqrt(dh)))
     attn = (p @ v).swapaxes(-3, -2).reshape(*lead, q_rows, d)
     if cache is not None:
-        cache += (x, inv, a, q, k, v, p, attn)
+        cache += (x, inv, q, k, v, p)
     x = x[..., t_len - q_rows:, :] + attn @ lw.wo
 
     inv = _rms_scale(x)
@@ -90,5 +90,5 @@ def reference_layer_forward(lw, x, n_heads, cache=None, past=None, q_rows=None):
     t = np.tanh(GELU_C * u1 * (1.0 + GELU_A * (u1 * u1)))
     g = 0.5 * u1 * (1.0 + t)
     if cache is not None:
-        cache += (x, inv, b, u1, g, t)
+        cache += (x, inv, u1, t)
     return x + g @ lw.w2

@@ -205,8 +205,8 @@ class TestLayerKernels:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
     def test_one_query_row_of_a_batch(self, config):
-        """q_rows = 1 takes the unmasked softmax; the 14 intermediates match
-        too."""
+        """q_rows = 1 takes the unmasked softmax; the 10 cached intermediates
+        match too."""
         lw = init_model(config).layers[2]
         x = 3 * np.random.default_rng(3).standard_normal((3, 11, config.d_model))
         got_cache, want_cache = [], []
@@ -216,13 +216,13 @@ class TestLayerKernels:
             assert_bitwise(got, want)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["small", "default"])
-    def test_batch_and_the_14_cached_intermediates(self, config):
+    def test_batch_and_the_10_cached_intermediates(self, config):
         lw = init_model(config).layers[2]
         x = 3 * np.random.default_rng(2).standard_normal((3, 11, config.d_model))
         got_cache, want_cache = [], []
         assert_bitwise(layer_forward(lw, x, config.n_heads, got_cache),
                        reference_layer_forward(lw, x, config.n_heads, want_cache))
-        assert len(got_cache) == len(want_cache) == 14
+        assert len(got_cache) == len(want_cache) == 10
         for got, want in zip(got_cache, want_cache):
             assert_bitwise(got, want)
 

@@ -12,14 +12,15 @@ def small_config(**kw):
     return ModelConfig(**base)
 
 
-def test_gradients_match_central_finite_differences():
+@pytest.mark.parametrize("shape", [(2, 10), (1, 1), (3, 7)], ids=["2x10", "1x1", "3x7"])
+def test_gradients_match_central_finite_differences(shape):
     """10 sampled coordinates per weight tensor, eps 1e-4, 1e-3 relative."""
     cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, d_ff=32, vocab_size=20,
                       max_seq=24, seed=0)
     model = init_model(cfg)
     rng = np.random.default_rng(1)
-    inputs = rng.integers(0, 20, size=(2, 10))
-    targets = rng.integers(0, 20, size=(2, 10))
+    inputs = rng.integers(0, 20, size=shape)
+    targets = rng.integers(0, 20, size=shape)
     _, grads = loss_and_grads(model, inputs, targets)
 
     eps = 1e-4

@@ -12,13 +12,14 @@ The outputs are, for 4 prompt lengths x 4 settings (sampled, greedy,
 dense-SVD and bypass), on the untrained `ModelConfig(seed=7)`:
 the captured wire bytes; every step's token and logits for the local client,
 the pipeline baseline and both eavesdroppers. Then `loss_and_grads` on a
-12 x 32 batch, and the losses and final weights of 5 `train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
+12 x 32, a 3 x 7 and a 1 x 1 batch, and the losses and final weights of 5
+`train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
 a temporary binary32 checkpoint of the same model: `report.json`,
 `traces.json` and `capture.pfidcap` from one `generate`, and `sweep.json`
 from a 2 x 2 `sweep` grid. Then the refusals: the exit code and stderr,
 with the temporary directory's path masked, of 11 CLI runs that are
 refused, and the server's error reply (`_handle_request`'s bytes) to 9
-defective requests, one of each defect a reply code names. That makes 106
+defective requests, one of each defect a reply code names. That makes 108
 outputs. One refused run gives `--ptail` with `--connect` to port 1 of
 127.0.0.1, where no server is expected to listen.
 """
@@ -86,9 +87,11 @@ def dump() -> dict[str, str]:
                 out[f"{key}.eavesdrop.{mode}"] = _trace_digest(trace)
 
     ids = np.asarray(tok.encode(corpus), dtype=np.int64)
-    inputs, targets = _sample_windows(ids, 12, 32, np.random.default_rng(11))
-    loss, grads = loss_and_grads(model, inputs, targets)
-    out["loss_and_grads"] = _digest(loss, *[grads[k] for k in sorted(grads)])
+    # Short batches reach other BLAS kernels than the 12 x 32 one.
+    for key, batch, seq in (("", 12, 32), (".3x7", 3, 7), (".1x1", 1, 1)):
+        inputs, targets = _sample_windows(ids, batch, seq, np.random.default_rng(11))
+        loss, grads = loss_and_grads(model, inputs, targets)
+        out[f"loss_and_grads{key}"] = _digest(loss, *[grads[k] for k in sorted(grads)])
     result = train(model, corpus, steps=5, seed=5, log_every=1)
     params = result.model.param_tensors()
     out["train5"] = _digest(result.losses, *[params[k] for k in sorted(params)])
