@@ -4,9 +4,9 @@ An eavesdropper holds copies of the public head/tail shards, knows the
 sampling parameters and seed, and sees every packet on the wire. Both of its
 modes decode outputs only: they push each intercepted reply through the
 public tail, with or without the intercepted upstream packet added back, and
-sample as the client does. They do not try to read the prompt, which the
-wire gives away to anyone holding the public head (ROADMAP item 1), so the
-output gap against the local client bounds nothing about privacy.
+sample as the client does. They are not given the prompt, and do not try to
+read it off the wire, which gives it away to anyone holding the public head
+(ROADMAP item 1), so their scores bound nothing about privacy.
 """
 
 from __future__ import annotations
@@ -55,20 +55,18 @@ def eavesdrop_generate(
     mode: AdversaryMode,
     config: PfidConfig,
     tokenizer: Tokenizer,
-    prompt: str = "",
 ) -> GenerationTrace:
     """Decode an intercepted packet stream with the public shards.
 
     TAIL_ONLY feeds the server's reply straight into the tail;
     TAIL_PLUS_INTERCEPTED_HEAD additionally adds omega times the
     reconstructed upstream packet, mimicking re-privatization with the best
-    information an interceptor has.
+    information an interceptor has. The trace records no prompt.
     """
     params = config.sampling
     rng = np.random.default_rng(params.seed)
     trace = GenerationTrace(
-        mode=f"eavesdropper:{mode.value}", prompt=prompt, seed=params.seed,
-        config=config.to_dict(),
+        mode=f"eavesdropper:{mode.value}", prompt="", seed=params.seed, config=config.to_dict(),
     )
     for up, down in paired_packets(capture):
         h = down.hidden()

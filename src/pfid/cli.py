@@ -28,8 +28,7 @@ the same bytes. Once the session has run and been scored, it writes to
 - `traces.json`, each scenario's trace keyed by its mode: `pipeline`,
   `local` and `eavesdropper:<mode>` for both eavesdropper modes;
 - `report.json`, `build_eval_report`'s scores of those scenarios against
-  the pipeline and the output gap, the local client's score minus an
-  eavesdropper's;
+  the pipeline, and the session's communication ratio;
 - `capture.pfidcap`, the session's packets in wire order, each prefixed
   by its length as a little-endian u32.
 
@@ -64,7 +63,6 @@ from typing import Any
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adversary import AdversaryMode
 from .corpus import build_corpus, heldout_prompts
 from .metrics import build_eval_report, spectra_report
 from .model import ModelConfig, init_model
@@ -79,8 +77,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_PROTOCOL = 4
-
-_TAIL_ONLY = AdversaryMode.TAIL_ONLY.value
 
 
 def _parse_layer_range(text: str) -> ShardSpec:
@@ -232,11 +228,10 @@ def cmd_sweep(args) -> int:
                     "omega": point.omega, "phead": point.phead, "ptail": point.ptail})
         rows.append(row)
         local = row["scenarios"]["local"]
-        eaves = row["scenarios"][f"eavesdropper:{_TAIL_ONLY}"]
+        eaves = row["scenarios"]["eavesdropper:tail_only"]
         print(f"range=({layer_range}) omega={point.omega} phead={point.phead} "
               f"ptail={point.ptail} | local_agr={local['token_agreement']:.3f} "
               f"eaves_agr={eaves['token_agreement']:.3f} "
-              f"gap={row['output_gap'][_TAIL_ONLY]['token_agreement']:+.3f} "
               f"bytes/tok={row['bytes_per_token']:.0f}")
     table_path = out_dir / "sweep.json"
     table_path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
@@ -257,17 +252,16 @@ def cmd_analyze(args) -> int:
     tokenizer = Tokenizer()
     model = ckpt.load_model(args.checkpoint)
     prompts = heldout_prompts(args.prompts, seed=args.prompt_seed, prompt_len=args.prompt_len)
-    spectra = spectra_report(model, [tokenizer.encode(p) for p in prompts], tail_q=args.tail_q)
+    spectra = spectra_report(model, [tokenizer.encode(p) for p in prompts])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "analysis.json"
     report_path.write_text(json.dumps({"spectra": spectra}, indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, "analyze", None, args.checkpoint, [str(report_path)],
                     args.prompt_seed)
-    print(f"\nper-layer spectrum (tail_q={args.tail_q}):")
-    print(f"{'layer':>5} {'nuclear':>10} {'tail_share':>10}")
+    print(f"{'layer':>5} {'nuclear':>10}")
     for row in spectra:
-        print(f"{row['layer']:>5} {row['nuclear_norm']:>10.2f} {row['tail_share']:>10.4f}")
+        print(f"{row['layer']:>5} {row['nuclear_norm']:>10.2f}")
     print(f"report: {report_path}")
     return EXIT_OK
 
@@ -294,7 +288,6 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--phead-grid": {},
     "--ptail-grid": {},
     "--layer-range-grid": {"help": "semicolon-separated K,N pairs"},
-    "--tail-q": {"type": int, "default": 16},
     # protocol settings, each written over its key of --config's PfidConfig
     "--config": {"help": "JSON config file mirroring PfidConfig"},
     "--layer-range": {"help": "K,N split points"},
@@ -336,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
              "--prompts", "--prompt-seed", "--prompt-len", "--out-dir",
              "--config", "--greedy", "--max-new-tokens", "--seed"], prompts=20)
     command("analyze", cmd_analyze, "per-layer spectra of held-out prompts",
-            ["--checkpoint", "--prompts", "--prompt-seed", "--prompt-len", "--tail-q",
-             "--out-dir"], prompts=10)
+            ["--checkpoint", "--prompts", "--prompt-seed", "--prompt-len", "--out-dir"],
+            prompts=10)
     return parser
 
 

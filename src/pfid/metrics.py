@@ -1,5 +1,5 @@
-"""Fidelity and output-gap metrics: BLEU, token agreement, logit
-divergence, per-layer spectrum reports and communication ratios."""
+"""Fidelity metrics against the pipeline baseline (BLEU, token agreement,
+logit divergence), session reports and per-layer spectrum reports."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "token_agreement",
     "logit_kl",
     "spectra_report",
-    "tail_share",
     "build_eval_report",
 ]
 
@@ -98,26 +97,12 @@ def logit_kl(a: GenerationTrace, b: GenerationTrace) -> float:
     return max(total / m, 0.0)
 
 
-def tail_share(singular_values: np.ndarray, q: int) -> float:
-    """Share of the spectrum's mass held by the q smallest singular values."""
-    s = np.asarray(singular_values, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("singular values must be a nonempty vector")
-    q = max(0, min(q, s.size))
-    total = float(s.sum())
-    if total == 0.0:
-        return 0.0
-    return float(np.sort(s)[:q].sum() / total)
-
-
 def spectra_report(
     model: TransformerModel,
     prompts_tokens: list[list[int]],
-    tail_q: int = 16,
 ) -> list[dict[str, Any]]:
     """Per-layer singular spectrum of the hidden states, averaged over
-    prompts: mean singular values, nuclear norm, and the share held by the
-    tail_q smallest components."""
+    prompts: mean singular values and their sum, the nuclear norm."""
     if not prompts_tokens:
         raise ValueError("need at least one prompt")
     n_layers = model.config.n_layers
@@ -138,8 +123,6 @@ def spectra_report(
                 "layer": layer,  # 0 is the embedding output
                 "singular_values": [float(x) for x in mean_sv],
                 "nuclear_norm": float(mean_sv.sum()),
-                "tail_q": int(min(tail_q, width)),
-                "tail_share": tail_share(mean_sv, tail_q),
             }
         )
     return report
@@ -157,13 +140,10 @@ def build_eval_report(sim: SimResult) -> dict[str, Any]:
     """Score one session against its pipeline baseline.
 
     Returns {"scenarios": {mode: {"bleu", "token_agreement",
-    "mean_logit_kl"}}, "output_gap": {eavesdropper mode: {"bleu",
-    "token_agreement"}}, "comm_ratio": sim.comm_ratio}. Each scenario is
-    one trace of the session, labelled by its `mode`: "pipeline", "local"
-    and "eavesdropper:<mode>" for each of `sim.eavesdroppers`. The
-    output gap is the local client's score minus the eavesdropper's: how
-    much better the client decodes than someone replaying its traffic. It
-    measures output agreement, not whether the prompt can be read off the
+    "mean_logit_kl"}}, "comm_ratio": sim.comm_ratio}. Each scenario is one
+    trace of the session, labelled by its `mode`: "pipeline", "local" and
+    "eavesdropper:<mode>" for each of `sim.eavesdroppers`. The scores
+    measure output agreement, not whether the prompt can be read off the
     wire.
 
     When the pipeline decoded no text (its first token was the
@@ -172,9 +152,4 @@ def build_eval_report(sim: SimResult) -> dict[str, Any]:
     """
     traces = [sim.pipeline, sim.local, *sim.eavesdroppers.values()]
     scenarios = {t.mode: _score(t, sim.pipeline) for t in traces}
-    local = scenarios[sim.local.mode]
-    output_gap = {
-        name: {key: local[key] - scenarios[t.mode][key] for key in ("bleu", "token_agreement")}
-        for name, t in sim.eavesdroppers.items()
-    }
-    return {"scenarios": scenarios, "output_gap": output_gap, "comm_ratio": sim.comm_ratio}
+    return {"scenarios": scenarios, "comm_ratio": sim.comm_ratio}

@@ -533,9 +533,7 @@ def run_local_sim(
             transport.close()
 
     eavesdroppers = {
-        mode.value: eavesdrop_generate(
-            sharded.client(), capture, mode, config, tokenizer, prompt
-        )
+        mode.value: eavesdrop_generate(sharded.client(), capture, mode, config, tokenizer)
         for mode in AdversaryMode
     }
     # wire bytes both ways, against one binary32 d x n matrix per direction per token

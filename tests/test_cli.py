@@ -269,10 +269,8 @@ def old_sweep_row(model, config, prompts):
     return {
         "local_agreement": float(np.mean(local_agr)),
         "eaves_agreement": float(np.mean(eaves_agr)),
-        "agreement_gap": float(np.mean(local_agr) - np.mean(eaves_agr)),
         "local_bleu": float(np.mean(local_bleu)),
         "eaves_bleu": float(np.mean(eaves_bleu)),
-        "bleu_gap": float(np.mean(local_bleu) - np.mean(eaves_bleu)),
         "bytes_per_token": bytes_total / tokens_total,
     }
 
@@ -292,14 +290,11 @@ def test_sweep_rows_match_the_old_sweep_scoring(checkpoint, tmp_path):
         old = old_sweep_row(model, config, prompts)
         local = row["scenarios"]["local"]
         eaves = row["scenarios"]["eavesdropper:tail_only"]
-        gap = row["output_gap"]["tail_only"]
         new = {
             "local_agreement": local["token_agreement"],
             "eaves_agreement": eaves["token_agreement"],
-            "agreement_gap": gap["token_agreement"],
             "local_bleu": local["bleu"],
             "eaves_bleu": eaves["bleu"],
-            "bleu_gap": gap["bleu"],
             "bytes_per_token": row["bytes_per_token"],
         }
         assert new == pytest.approx(old, abs=1e-12, rel=0)
@@ -347,15 +342,17 @@ def test_sweep_refuses_a_bad_grid_before_its_first_session(tmp_path, monkeypatch
     assert not out.exists()
 
 
-def test_report_writes_the_output_gap(checkpoint, tmp_path):
+def test_report_writes_the_scenario_scores_and_the_comm_ratio(checkpoint, tmp_path):
     assert generate(checkpoint, tmp_path) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
-    assert set(report) == {"scenarios", "output_gap", "comm_ratio"}
-    assert set(report["output_gap"]) == {mode.value for mode in AdversaryMode}
+    assert set(report) == {"scenarios", "comm_ratio"}
     assert set(report["scenarios"]) == {"pipeline", "local",
                                         *(f"eavesdropper:{m.value}" for m in AdversaryMode)}
     traces = json.loads((tmp_path / "traces.json").read_text())
     assert set(traces) == set(report["scenarios"])
+    assert traces["local"]["prompt"] == "hello"
+    for mode in AdversaryMode:  # an eavesdropper is not given the prompt
+        assert traces[f"eavesdropper:{mode.value}"]["prompt"] == ""
     sim = run_local_sim(load_model(checkpoint), Tokenizer(), GENERATE_CONFIG, "hello")
     assert traces["local"] == sim.local.to_dict()
     assert report == build_eval_report(sim)
@@ -372,7 +369,8 @@ def test_generate_and_sweep_score_the_same_scenarios(checkpoint, tmp_path):
     assert list(report["scenarios"]) == list(row["scenarios"]) == [
         "eavesdropper:tail_only", "eavesdropper:tail_plus_intercepted_head", "local",
         "pipeline"]
-    assert set(report["output_gap"]) == set(row["output_gap"])
+    assert set(row) == set(report) | {"bytes_per_token", "layer_range", "omega", "phead",
+                                      "ptail"}
 
 
 def test_report_is_no_longer_a_command(checkpoint, tmp_path):
@@ -387,11 +385,11 @@ UNREAD_FLAGS = {
     "serve": ["--omega", "--phead", "--greedy", "--max-new-tokens", "--seed"],
     "sweep": ["--layer-range", "--omega", "--phead", "--ptail"],
     "analyze": ["--config", "--layer-range", "--omega", "--phead", "--ptail", "--greedy",
-                "--max-new-tokens", "--seed"],
+                "--max-new-tokens", "--seed", "--tail-q"],
 }
 FLAG_VALUES = {"--config": "c.json", "--layer-range": "1,2", "--max-new-tokens": "4",
                "--seed": "1", "--greedy": None, "--mode": "local", "--transport": "sim",
-               "--save-capture": None}
+               "--save-capture": None, "--tail-q": "16"}
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -475,6 +473,8 @@ def test_analyze_writes_only_spectra(checkpoint, tmp_path):
     analysis = json.loads((tmp_path / "analysis.json").read_text())
     assert set(analysis) == {"spectra"}
     assert [row["layer"] for row in analysis["spectra"]] == list(range(SMALL.n_layers + 1))
+    for row in analysis["spectra"]:
+        assert set(row) == {"layer", "singular_values", "nuclear_norm"}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"] is None
     assert manifest["seed"] == 9876

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfid.metrics import build_eval_report, bleu, logit_kl, tail_share, token_agreement
+from pfid.metrics import build_eval_report, bleu, logit_kl, token_agreement
 from pfid.model import SamplingParams
 from pfid.protocol import PfidConfig, SimResult, run_local_sim
 from pfid.trace import GenerationTrace, StepRecord
@@ -137,18 +137,6 @@ class TestLogitKl:
             logit_kl(a, b)
 
 
-class TestTailShare:
-    def test_uniform_spectrum(self):
-        s = np.ones(16)
-        assert tail_share(s, 4) == pytest.approx(4 / 16)
-
-    def test_zero_spectrum(self):
-        assert tail_share(np.zeros(5), 2) == 0.0
-
-    def test_q_clamped(self):
-        assert tail_share(np.array([3.0, 1.0]), 10) == pytest.approx(1.0)
-
-
 class TestBuildEvalReport:
     def test_bypass_scores_the_local_client_as_the_pipeline(self, tiny_model, tokenizer):
         """omega = 0 and raw packets: the client and the tail-only
@@ -161,7 +149,8 @@ class TestBuildEvalReport:
         local = report["scenarios"]["local"]
         assert local["token_agreement"] == 1.0
         assert local["mean_logit_kl"] == pytest.approx(0.0, abs=1e-12)
-        assert report["output_gap"]["tail_only"] == {"bleu": 0.0, "token_agreement": 0.0}
+        eaves = report["scenarios"]["eavesdropper:tail_only"]
+        assert (eaves["bleu"], eaves["token_agreement"]) == (local["bleu"], 1.0)
         assert report["comm_ratio"] == sim.comm_ratio
 
     def test_an_empty_pipeline_text_scores_bleu_zero_everywhere(self):
@@ -178,7 +167,7 @@ class TestBuildEvalReport:
         for scores in report["scenarios"].values():
             assert scores["bleu"] == 0.0
         assert report["scenarios"]["local"]["token_agreement"] == 1.0
-        assert report["output_gap"]["tail_only"] == {"bleu": 0.0, "token_agreement": 0.5}
+        assert report["scenarios"]["eavesdropper:tail_only"]["token_agreement"] == 0.5
         assert report["comm_ratio"] == 0.25
 
     def test_scenarios_are_labelled_by_trace_mode(self):
@@ -189,4 +178,4 @@ class TestBuildEvalReport:
                         capture=[], wire_bytes=0, comm_ratio=float("nan"))
         report = build_eval_report(sim)
         assert list(report["scenarios"]) == ["pipeline", "local", "eavesdropper:m"]
-        assert list(report["output_gap"]) == ["m"]
+        assert set(report) == {"scenarios", "comm_ratio"}

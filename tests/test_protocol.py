@@ -324,10 +324,11 @@ def test_replaying_a_capture_is_deterministic(tiny_model, tokenizer):
     sharded = split(tiny_model, config.spec)
     for mode in AdversaryMode:
         first, second = (
-            eavesdrop_generate(sharded.client(), sim.capture, mode, config, tokenizer, PROMPT)
+            eavesdrop_generate(sharded.client(), sim.capture, mode, config, tokenizer)
             for _ in range(2)
         )
         assert len(first.steps) == 12
+        assert first.prompt == ""
         assert_traces_equal(first, second)
         assert_traces_equal(first, sim.eavesdroppers[mode.value])
 
@@ -429,6 +430,8 @@ WIRE_DEFECTS = {
                  "13 positions exceed the limit of 12"),
     "middle_raises": (encode_raw_packet(np.full((8, 5), 1e38), ROLE_HEAD_RAW, 3), 6, 3,
                       "server failure: factors overflow binary32"),
+    "zero_positions": (_RAW[:20] + struct.pack("<I", 0) + _RAW[24:32], 4, 3,
+                       "bad dimensions d=8, n=0"),
 }
 # defects that decode_packet lets through and the server refuses itself
 SERVER_REFUSALS = {"mid_role", "wrong_width", "middle_raises"}

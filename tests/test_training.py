@@ -14,10 +14,15 @@ def small_config(**kw):
 
 @pytest.mark.parametrize("shape", [(2, 10), (1, 1), (3, 7)], ids=["2x10", "1x1", "3x7"])
 def test_gradients_match_central_finite_differences(shape):
-    """10 sampled coordinates per weight tensor, eps 1e-4, 1e-3 relative."""
+    """10 sampled coordinates per weight tensor, eps 1e-4, 1e-3 relative.
+    Every RMS gain is drawn away from its initial 1, so a backward that
+    leaves a gain out differs from the finite differences."""
     cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, d_ff=32, vocab_size=20,
                       max_seq=24, seed=0)
     model = init_model(cfg)
+    gains = np.random.default_rng(2)
+    for gain in (model.g_final, *(g for lw in model.layers for g in (lw.g_attn, lw.g_ff))):
+        gain[:] = 1.0 + 0.3 * gains.standard_normal(gain.shape)
     rng = np.random.default_rng(1)
     inputs = rng.integers(0, 20, size=shape)
     targets = rng.integers(0, 20, size=shape)
@@ -89,10 +94,20 @@ def test_overfit_two_lines_memorizes_continuations():
         assert text.rstrip("\n") == line[3:], f"memorization failed: {text!r}"
 
 
-def test_empty_corpus_rejected():
+@pytest.mark.parametrize("corpus, message", [
+    ("", "corpus is empty"),
+    ("ab\n", "corpus too short to form a training window"),
+], ids=["empty", "three_tokens"])
+def test_a_corpus_without_a_training_window_is_rejected(corpus, message):
     model = init_model(small_config())
-    with pytest.raises(ValueError, match="empty"):
-        train(model, "", steps=1)
+    with pytest.raises(ValueError, match=message):
+        train(model, corpus, steps=1)
+
+
+def test_a_corpus_shorter_than_a_window_trains_on_shorter_windows():
+    """8 tokens cannot fill a seq_len 32 window; train shortens it."""
+    result = train(init_model(small_config()), "abc\n" * 2, steps=2)
+    assert len(result.losses) == 2 and np.isfinite(result.losses).all()
 
 
 def test_zero_steps_rejected():

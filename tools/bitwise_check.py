@@ -15,13 +15,14 @@ the pipeline baseline and both eavesdroppers. Then `loss_and_grads` on a
 12 x 32, a 3 x 7 and a 1 x 1 batch, and the losses and final weights of 5
 `train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
 a temporary binary32 checkpoint of the same model: `report.json`,
-`traces.json` and `capture.pfidcap` from one `generate`, and `sweep.json`
-from a 2 x 2 `sweep` grid. Then the refusals: the exit code and stderr,
-with the temporary directory's path masked, of 11 CLI runs that are
-refused, and the server's error reply (`_handle_request`'s bytes) to 9
-defective requests, one of each defect a reply code names. That makes 108
-outputs. One refused run gives `--ptail` with `--connect` to port 1 of
-127.0.0.1, where no server is expected to listen.
+`traces.json` and `capture.pfidcap` from one `generate`, `sweep.json`
+from a 2 x 2 `sweep` grid, and `analysis.json` from one `analyze` of 2
+prompts. Then the refusals: the exit code and stderr, with the temporary
+directory's path masked, of 11 CLI runs that are refused, and the server's
+error reply (`_handle_request`'s bytes) to 10 defective requests, at least
+one of each defect a reply code names. That makes 110 outputs. One refused
+run gives `--ptail` with `--connect` to port 1 of 127.0.0.1, where no
+server is expected to listen.
 """
 
 import contextlib
@@ -107,8 +108,11 @@ def dump() -> dict[str, str]:
                       "--phead-grid", "0.5,0", "--out-dir", str(tmp / "sweep")]):
             if cli_main(argv + common) != 0:
                 raise SystemExit(f"pfid {argv[0]} failed")
+        if cli_main(["analyze", "--checkpoint", str(tmp / "model.ckpt"), "--prompts", "2",
+                     "--out-dir", str(tmp / "analyze")]) != 0:
+            raise SystemExit("pfid analyze failed")
         for path in ("generate/report.json", "generate/traces.json",
-                     "generate/capture.pfidcap", "sweep/sweep.json"):
+                     "generate/capture.pfidcap", "sweep/sweep.json", "analyze/analysis.json"):
             out[path] = hashlib.sha256((tmp / path).read_bytes()).hexdigest()
 
         (tmp / "greedy.json").write_text('{"greedy": "false"}')
@@ -150,6 +154,7 @@ def dump() -> dict[str, str]:
         "short_header": raw[:10],
         "wrong_length": raw[:-8],
         "unknown_role": raw[:12] + (9).to_bytes(4, "little") + raw[16:],
+        "zero_positions": raw[:20] + (0).to_bytes(4, "little") + raw[24:32],
         "mid_role": encode_raw_packet(h, ROLE_MID_RAW, 3),
         "wrong_width": encode_raw_packet(h[1:], ROLE_HEAD_RAW, 3),
         "oversize": encode_raw_packet(np.ones((h.shape[0], model.config.max_seq + 1)),
