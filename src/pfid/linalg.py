@@ -70,16 +70,6 @@ class TruncatedFactors:
             raise ValueError("singular values must be nonnegative and non-increasing")
 
 
-def _fix_signs(u: Matrix, v: Matrix) -> tuple[Matrix, Matrix]:
-    # Canonical sign: first nonzero entry of each u column made nonnegative,
-    # so factor outputs are comparable across runs and implementations. An
-    # all-zero column keeps its sign (argmax finds no nonzero and reads 0).
-    # Both come back in C order, as copies of the column-sliced u and the
-    # transposed v would.
-    flip = u[np.argmax(u != 0, axis=0), np.arange(u.shape[1])] < 0
-    return np.where(flip, -u, u), np.ascontiguousarray(np.where(flip, -v, v))
-
-
 def truncated_svd(h: Matrix, k: int, seed: int | None = None) -> TruncatedFactors:
     """Exact rank-k truncated SVD of h: the Eckart-Young optimum.
 
@@ -87,8 +77,11 @@ def truncated_svd(h: Matrix, k: int, seed: int | None = None) -> TruncatedFactor
     h^T h) give one factor and s = sqrt(lambda); the other factor is
     h^T u / s (or h v / s). When lambda_k <= GRAM_MIN_EIG_RATIO * lambda_1,
     as for zero or rank-deficient input, LAPACK's SVD of h is used instead.
-    There are no random draws, so equal inputs give equal bits; seed is
-    accepted for existing callers and unused.
+    Each column's sign is the one the eigensolver (or LAPACK) returned. No
+    reader depends on it: negating a column of u with the same column of v
+    leaves every bit of U diag(s) V^T unchanged. There are no random draws,
+    so equal inputs give equal bits; seed is accepted for existing callers
+    and unused.
     """
     h = check_matrix(h, "h")
     d, n = h.shape
@@ -99,9 +92,7 @@ def truncated_svd(h: Matrix, k: int, seed: int | None = None) -> TruncatedFactor
     if factors is None:
         u, s, vt = np.linalg.svd(h, full_matrices=False)
         factors = u[:, :k], s[:k], vt[:k].T
-    u, s, v = factors
-    u, v = _fix_signs(u, v)
-    return TruncatedFactors(u, s, v)
+    return TruncatedFactors(*factors)
 
 
 def _gram_factors(h: Matrix, k: int) -> tuple[Matrix, np.ndarray, Matrix] | None:

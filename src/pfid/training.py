@@ -125,7 +125,7 @@ def loss_and_grads(
 
 
 def _sample_windows(ids: np.ndarray, batch: int, seq: int, rng: np.random.Generator):
-    starts = rng.integers(0, len(ids) - seq - 1, size=batch)
+    starts = rng.integers(0, len(ids) - seq, size=batch)
     windows = np.stack([ids[s : s + seq + 1] for s in starts])
     return windows[:, :-1], windows[:, 1:]
 

@@ -21,13 +21,17 @@ TRAIN_LR = 3e-3
 TRAIN_SEED = 0
 CORPUS_LINES = 600
 CORPUS_SEED = 1234
+# Names the window sampler's rule, so .cache/ never serves a checkpoint
+# trained under an earlier one ("allstarts": every start, the last included).
+SAMPLER = "allstarts"
 
 _CACHE = Path(__file__).resolve().parent.parent / ".cache"
 
 
 def trained_checkpoint_path() -> Path:
     _CACHE.mkdir(exist_ok=True)
-    key = f"toy_l8_d64_s{TRAIN_STEPS}_lr{TRAIN_LR}_seed{TRAIN_SEED}_c{CORPUS_LINES}_{CORPUS_SEED}"
+    key = (f"toy_l8_d64_s{TRAIN_STEPS}_lr{TRAIN_LR}_seed{TRAIN_SEED}_c{CORPUS_LINES}_{CORPUS_SEED}"
+           f"_{SAMPLER}")
     path = _CACHE / f"{key}.ckpt"
     if not path.exists():
         corpus = build_corpus(CORPUS_LINES, seed=CORPUS_SEED)

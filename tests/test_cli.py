@@ -150,8 +150,13 @@ def test_reply_longer_than_the_model_allows_exits_3(checkpoint, tmp_path, capsys
     (["--checkpoint", "{tmp}/v2.ckpt"], "unsupported checkpoint version 2"),
     (["--connect", "127.0.0.1:{port}", "--ptail", "0.1"],
      "--ptail does not reach a server over --connect: set it with pfid serve --ptail"),
+    (["--omega", "nan"], "omega must be finite and >= 0, got nan"),
+    (["--omega", "-1"], "omega must be finite and >= 0, got -1.0"),
+    (["--config", "{tmp}/three_layers.json"], "layer_range must be a [K, N] pair, got [1, 2, 3]"),
+    (["--max-new-tokens", "0"], "max_new_tokens must be positive, got 0"),
 ], ids=["layer_range_without_comma", "missing_config", "nan_temperature", "inf_temperature",
-        "config_not_json", "config_array", "checkpoint_version_2", "ptail_over_connect"])
+        "config_not_json", "config_array", "checkpoint_version_2", "ptail_over_connect",
+        "nan_omega", "negative_omega", "layer_range_of_three", "zero_new_tokens"])
 def test_a_refused_generate_run_exits_2_and_creates_no_directory(checkpoint, tmp_path, capsys,
                                                                   flags, line):
     """JSON reads NaN and Infinity, and a temperature of either would
@@ -162,6 +167,7 @@ def test_a_refused_generate_run_exits_2_and_creates_no_directory(checkpoint, tmp
     (tmp_path / "inf.json").write_text(json.dumps({"temperature": float("inf")}))
     (tmp_path / "text.json").write_text("omega = 0.5\n")
     (tmp_path / "array.json").write_text(json.dumps([{"omega": 0.5}]))
+    (tmp_path / "three_layers.json").write_text(json.dumps({"layer_range": [1, 2, 3]}))
     data = bytearray(checkpoint.read_bytes())
     struct.pack_into("<I", data, 8, 2)  # the version field of the header
     (tmp_path / "v2.ckpt").write_bytes(bytes(data))
@@ -480,12 +486,15 @@ def test_analyze_writes_only_spectra(checkpoint, tmp_path):
     assert manifest["seed"] == 9876
 
 
-def test_analyze_refuses_a_prompt_as_long_as_a_line(checkpoint, tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--prompt-len", "40"], "prompt_len must be in 1..39"),
+    (["--prompts", "0"], "need at least one prompt"),
+], ids=["prompt_as_long_as_a_line", "zero_prompts"])
+def test_analyze_refuses_prompts_it_cannot_draw(checkpoint, tmp_path, capsys, flags, message):
     out = tmp_path / "out"
-    code = main(["analyze", "--checkpoint", str(checkpoint), "--prompt-len", "40",
-                 "--out-dir", str(out)])
+    code = main(["analyze", "--checkpoint", str(checkpoint), *flags, "--out-dir", str(out)])
     assert code == EXIT_CONFIG
-    assert "prompt_len must be in 1..39" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -507,7 +516,9 @@ def test_train_writes_a_checkpoint_its_losses_and_a_manifest(tmp_path):
     (["--steps", "2", "--corpus", "EMPTY"], "corpus is empty"),
     *[(["--steps", "2", "--corpus-lines", "20", "--lr", lr], "lr must be finite and positive")
       for lr in ("nan", "inf", "0", "-1")],
-], ids=["zero_steps", "empty_corpus", "lr_nan", "lr_inf", "lr_zero", "lr_negative"])
+    (["--steps", "2", "--corpus-lines", "0"], "n_lines must be positive"),
+], ids=["zero_steps", "empty_corpus", "lr_nan", "lr_inf", "lr_zero", "lr_negative",
+        "zero_corpus_lines"])
 def test_a_refused_train_run_creates_no_directory(tmp_path, capsys, flags, message):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

@@ -3,7 +3,7 @@ import pytest
 
 from pfid.model import ModelConfig, SamplingParams, init_model, pipeline_generate
 from pfid.tokenizer import Tokenizer
-from pfid.training import loss_and_grads, train
+from pfid.training import _sample_windows, loss_and_grads, train
 
 
 def small_config(**kw):
@@ -108,6 +108,15 @@ def test_a_corpus_shorter_than_a_window_trains_on_shorter_windows():
     """8 tokens cannot fill a seq_len 32 window; train shortens it."""
     result = train(init_model(small_config()), "abc\n" * 2, steps=2)
     assert len(result.losses) == 2 and np.isfinite(result.losses).all()
+
+
+def test_every_window_can_be_drawn():
+    """8 tokens hold two windows of 6 inputs and 6 targets, starting at 0
+    and 1; both are drawn, so the corpus's last token is a target too."""
+    x, y = _sample_windows(np.arange(8), 64, 6, np.random.default_rng(0))
+    assert set(x[:, 0]) == {0, 1}
+    assert y.max() == 7
+    assert np.array_equal(y, x + 1)
 
 
 def test_zero_steps_rejected():

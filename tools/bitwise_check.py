@@ -10,19 +10,21 @@ exits with status 1 when any of them differ. There is no tolerance.
 
 The outputs are, for 4 prompt lengths x 4 settings (sampled, greedy,
 dense-SVD and bypass), on the untrained `ModelConfig(seed=7)`:
-the captured wire bytes; every step's token and logits for the local client,
-the pipeline baseline and both eavesdroppers. Then `loss_and_grads` on a
-12 x 32, a 3 x 7 and a 1 x 1 batch, and the losses and final weights of 5
-`train` steps. Last, the files the CLI writes, through `pfid.cli.main` on
-a temporary binary32 checkpoint of the same model: `report.json`,
-`traces.json` and `capture.pfidcap` from one `generate`, `sweep.json`
-from a 2 x 2 `sweep` grid, and `analysis.json` from one `analyze` of 2
-prompts. Then the refusals: the exit code and stderr, with the temporary
-directory's path masked, of 11 CLI runs that are refused, and the server's
-error reply (`_handle_request`'s bytes) to 10 defective requests, at least
-one of each defect a reply code names. That makes 110 outputs. One refused
-run gives `--ptail` with `--connect` to port 1 of 127.0.0.1, where no
-server is expected to listen.
+the captured wire bytes; the hidden states decoded from them, which do not
+depend on the factors' column signs; every step's token and logits for the
+local client, the pipeline baseline and both eavesdroppers. Then
+`loss_and_grads` on a 12 x 32, a 3 x 7 and a 1 x 1 batch of corpus windows
+drawn here, so that a change to training's own sampler leaves them alone,
+and the losses and final weights of 5 `train` steps. Last, the files the
+CLI writes, through `pfid.cli.main` on a temporary binary32 checkpoint of
+the same model: `report.json`, `traces.json` and `capture.pfidcap` from one
+`generate`, `sweep.json` from a 2 x 2 `sweep` grid, and `analysis.json`
+from one `analyze` of 2 prompts. Then the refusals: the exit code and
+stderr, with the temporary directory's path masked, of 11 CLI runs that
+are refused, and the server's error reply (`_handle_request`'s bytes) to 10
+defective requests, at least one of each defect a reply code names. That
+makes 126 outputs. One refused run gives `--ptail` with `--connect` to
+port 1 of 127.0.0.1, where no server is expected to listen.
 """
 
 import contextlib
@@ -57,10 +59,10 @@ def dump() -> dict[str, str]:
     from pfid.corpus import build_corpus
     from pfid.model import ModelConfig, SamplingParams, init_model
     from pfid.protocol import (ROLE_HEAD_RAW, ROLE_MID_RAW, PfidConfig, _handle_request,
-                               encode_raw_packet, run_local_sim)
+                               decode_packet, encode_raw_packet, run_local_sim)
     from pfid.shard import split
     from pfid.tokenizer import Tokenizer
-    from pfid.training import _sample_windows, loss_and_grads, train
+    from pfid.training import loss_and_grads, train
 
     model = init_model(ModelConfig(seed=7))
     tok = Tokenizer()
@@ -82,6 +84,7 @@ def dump() -> dict[str, str]:
             sim = run_local_sim(model, tok, config, prompt)
             key = f"n{n}.{name}"
             out[f"{key}.capture"] = hashlib.sha256(b"".join(sim.capture)).hexdigest()
+            out[f"{key}.wire_states"] = _digest(*[decode_packet(f).hidden() for f in sim.capture])
             out[f"{key}.local"] = _trace_digest(sim.local)
             out[f"{key}.pipeline"] = _trace_digest(sim.pipeline)
             for mode, trace in sorted(sim.eavesdroppers.items()):
@@ -90,7 +93,9 @@ def dump() -> dict[str, str]:
     ids = np.asarray(tok.encode(corpus), dtype=np.int64)
     # Short batches reach other BLAS kernels than the 12 x 32 one.
     for key, batch, seq in (("", 12, 32), (".3x7", 3, 7), (".1x1", 1, 1)):
-        inputs, targets = _sample_windows(ids, batch, seq, np.random.default_rng(11))
+        starts = np.random.default_rng(11).integers(0, len(ids) - seq - 1, size=batch)
+        windows = np.stack([ids[s:s + seq + 1] for s in starts])
+        inputs, targets = windows[:, :-1], windows[:, 1:]
         loss, grads = loss_and_grads(model, inputs, targets)
         out[f"loss_and_grads{key}"] = _digest(loss, *[grads[k] for k in sorted(grads)])
     result = train(model, corpus, steps=5, seed=5, log_every=1)
