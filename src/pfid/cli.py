@@ -79,26 +79,22 @@ EXIT_TRANSPORT = 3
 EXIT_PROTOCOL = 4
 
 
-def _parse_layer_range(text: str) -> ShardSpec:
+def _parse_layer_range(text: str) -> list[int]:
     try:
         k, n = (int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"a layer range is 'K,N', got {text!r}") from None
-    return ShardSpec(k, n)
+    return [k, n]
 
 
 def _load_config(args) -> PfidConfig:
     """--config's PfidConfig (or the defaults) with each setting flag that
     the command takes and the user gave written over its key."""
-    doc = (PfidConfig.load(args.config) if args.config else PfidConfig()).to_dict()
-    if getattr(args, "layer_range", None):
-        spec = _parse_layer_range(args.layer_range)
-        doc["layer_range"] = [spec.split_k, spec.split_n]
-    for key in ("omega", "phead", "ptail", "max_new_tokens", "seed"):
-        if getattr(args, key, None) is not None:
-            doc[key] = getattr(args, key)
-    if getattr(args, "greedy", False):
-        doc["greedy"] = True
+    doc = (PfidConfig.load(args.config) if args.config is not None else PfidConfig()).to_dict()
+    for key in doc:
+        value = getattr(args, key, None)
+        if value is not None:
+            doc[key] = _parse_layer_range(value) if key == "layer_range" else value
     return PfidConfig.from_dict(doc)
 
 
@@ -199,10 +195,10 @@ def cmd_sweep(args) -> int:
     prompts = heldout_prompts(args.prompts, seed=args.prompt_seed, prompt_len=args.prompt_len)
 
     def parse_grid(text, default):
-        return [float(x) for x in text.split(",")] if text else [default]
+        return [float(x) for x in text.split(",")] if text is not None else [default]
 
-    specs = ([_parse_layer_range(r) for r in args.layer_range_grid.split(";")]
-             if args.layer_range_grid else [config.spec])
+    specs = ([ShardSpec(*_parse_layer_range(r)) for r in args.layer_range_grid.split(";")]
+             if args.layer_range_grid is not None else [config.spec])
     # the whole grid is checked before the first session runs
     points = [replace(config, spec=s, omega=o, phead=p, ptail=t) for s, o, p, t in product(
         specs, parse_grid(args.omega_grid, config.omega),
@@ -288,13 +284,14 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--phead-grid": {},
     "--ptail-grid": {},
     "--layer-range-grid": {"help": "semicolon-separated K,N pairs"},
-    # protocol settings, each written over its key of --config's PfidConfig
+    # --config, then the protocol settings: each setting flag's dest is its
+    # key of PfidConfig.to_dict(), which _load_config writes over when given
     "--config": {"help": "JSON config file mirroring PfidConfig"},
     "--layer-range": {"help": "K,N split points"},
     "--omega": {"type": float},
     "--phead": {"type": float},
     "--ptail": {"type": float},
-    "--greedy": {"action": "store_true"},
+    "--greedy": {"action": "store_true", "default": None},
     "--max-new-tokens": {"type": int},
     "--seed": {"type": int, "help": "train: weights and batches; otherwise sampling"},
 }

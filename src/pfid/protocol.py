@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -160,12 +160,7 @@ class PfidConfig:
             "omega": self.omega,
             "phead": self.phead,
             "ptail": self.ptail,
-            "temperature": self.sampling.temperature,
-            "top_p": self.sampling.top_p,
-            "top_k": self.sampling.top_k,
-            "max_new_tokens": self.sampling.max_new_tokens,
-            "greedy": self.sampling.greedy,
-            "seed": self.sampling.seed,
+            **vars(self.sampling),
         }
 
     @classmethod
@@ -181,11 +176,9 @@ class PfidConfig:
             raise ValueError(f"layer_range must be a [K, N] pair, got {lr!r}")
         values = {key: _json_typed(key, doc.get(key, default), type(default))
                   for key, default in defaults.items()}
-        return cls(
-            spec=ShardSpec(*(_json_typed("layer_range", x, int) for x in lr)),
-            omega=values.pop("omega"), phead=values.pop("phead"), ptail=values.pop("ptail"),
-            sampling=SamplingParams(**values),
-        )
+        spec = ShardSpec(*(_json_typed("layer_range", x, int) for x in lr))
+        sampling = SamplingParams(**{f.name: values.pop(f.name) for f in fields(SamplingParams)})
+        return cls(spec=spec, sampling=sampling, **values)
 
     @classmethod
     def load(cls, path: str | Path) -> "PfidConfig":

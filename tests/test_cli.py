@@ -8,7 +8,8 @@ import pytest
 
 from pfid.adversary import AdversaryMode
 from pfid.checkpoint import file_sha256, load_model, save_model
-from pfid.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, main
+from pfid.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, _load_config,
+                      build_parser, main)
 from pfid.corpus import heldout_prompts
 from pfid.metrics import bleu, build_eval_report, token_agreement
 from pfid.model import ModelConfig, SamplingParams, init_model
@@ -154,9 +155,12 @@ def test_reply_longer_than_the_model_allows_exits_3(checkpoint, tmp_path, capsys
     (["--omega", "-1"], "omega must be finite and >= 0, got -1.0"),
     (["--config", "{tmp}/three_layers.json"], "layer_range must be a [K, N] pair, got [1, 2, 3]"),
     (["--max-new-tokens", "0"], "max_new_tokens must be positive, got 0"),
+    (["--layer-range", ""], "a layer range is 'K,N', got ''"),
+    (["--config", ""], "[Errno 21] Is a directory: '.'"),
 ], ids=["layer_range_without_comma", "missing_config", "nan_temperature", "inf_temperature",
         "config_not_json", "config_array", "checkpoint_version_2", "ptail_over_connect",
-        "nan_omega", "negative_omega", "layer_range_of_three", "zero_new_tokens"])
+        "nan_omega", "negative_omega", "layer_range_of_three", "zero_new_tokens",
+        "empty_layer_range", "empty_config"])
 def test_a_refused_generate_run_exits_2_and_creates_no_directory(checkpoint, tmp_path, capsys,
                                                                   flags, line):
     """JSON reads NaN and Infinity, and a temperature of either would
@@ -179,6 +183,38 @@ def test_a_refused_generate_run_exits_2_and_creates_no_directory(checkpoint, tmp
                     *(f.format(tmp=tmp_path, port=port) for f in flags)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {line.format(tmp=tmp_path)}\n"
     assert not out.exists()
+
+
+# each setting flag a command takes: a value off its default, its key, and
+# the value that key should then hold
+SETTING_FLAGS = {
+    "--layer-range": ("1,2", "layer_range", [1, 2]),
+    "--omega": ("0.5", "omega", 0.5),
+    "--phead": ("0.5", "phead", 0.5),
+    "--ptail": ("0.5", "ptail", 0.5),
+    "--greedy": (None, "greedy", True),
+    "--max-new-tokens": ("4", "max_new_tokens", 4),
+    "--seed": ("1", "seed", 1),
+}
+COMMAND_SETTINGS = {
+    "generate": list(SETTING_FLAGS),
+    "serve": ["--layer-range", "--ptail"],
+    "sweep": ["--greedy", "--max-new-tokens", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in COMMAND_SETTINGS.items() for flag in flags
+])
+def test_a_setting_flag_moves_exactly_its_key(command, flag):
+    value, key, want = SETTING_FLAGS[flag]
+    argv = [command, "--checkpoint", "m.ckpt", flag, *([value] if value else [])]
+    if command == "generate":
+        argv += ["--prompt", "hello"]
+    doc = _load_config(build_parser().parse_args(argv)).to_dict()
+    default = PfidConfig().to_dict()
+    assert [k for k in doc if doc[k] != default[k]] == [key]
+    assert doc[key] == want
 
 
 def test_flags_over_config_keys_land_in_the_manifest(checkpoint, tmp_path):
@@ -322,6 +358,8 @@ def test_sweep_rows_follow_the_grid_order(checkpoint, tmp_path):
     (["--layer-range-grid", "1,2;1,3"], "need 0 < K < N < n_layers, got K=1, N=3, n_layers=3"),
     (["--prompt-len", "12"], "prompt's 12 tokens leave no room for a new one within max_seq 12"),
     (["--prompts", "0"], "--prompts must be >= 1"),
+    (["--omega-grid", ""], "could not convert string to float: ''"),
+    (["--layer-range-grid", ""], "a layer range is 'K,N', got ''"),
 ])
 def test_sweep_refuses_a_bad_grid_before_its_first_session(tmp_path, monkeypatch, capsys,
                                                            flags, message):

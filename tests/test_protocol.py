@@ -1,9 +1,12 @@
+import json
 import queue
 import socket
 import struct
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -138,6 +141,31 @@ def test_tcp_trace_equals_in_memory_trace_bitwise(tiny_model, tokenizer):
     assert capture == sim.capture
 
 
+def test_concurrent_tcp_sessions_each_match_their_solo_run(tiny_model, tokenizer):
+    """serve_middle keeps no state between requests, so 4 sessions at once
+    on one server, over 3 rounds, each give their solo in-process trace and
+    capture."""
+    config = PfidConfig(sampling=SamplingParams(max_new_tokens=8))
+    prompts = ["alice called bo", "the cat", "x" * 30, "bob"]
+    solo = [run_local_sim(tiny_model, tokenizer, config, p) for p in prompts]
+    middle = split(tiny_model, config.spec).middle()
+    server = TcpServer(lambda t: serve_middle(middle, t, config)).start()
+
+    def session(prompt):  # a stuck reply raises TransportError after 10 s
+        transport = connect_tcp(server.host, server.port, timeout=10)
+        return run_local_sim(tiny_model, tokenizer, config, prompt, transport)
+
+    try:
+        with ThreadPoolExecutor(max_workers=len(prompts)) as pool:
+            rounds = [list(pool.map(session, prompts)) for _ in range(3)]
+    finally:
+        server.stop()
+    for sims in rounds:
+        for sim, alone in zip(sims, solo):
+            assert_traces_equal(sim.local, alone.local)
+            assert sim.capture == alone.capture
+
+
 def test_packets_follow_the_size_law(tiny_model, tokenizer):
     config = PfidConfig(sampling=SamplingParams(greedy=True, max_new_tokens=24))
     sim = run_local_sim(tiny_model, tokenizer, config, PROMPT)
@@ -207,6 +235,36 @@ def test_more_positions_than_max_seq_get_an_oversize_reply(tiny_model):
     assert (refused.role, refused.error_code, refused.step) == (ROLE_ERROR, 5, 0)
     assert (truncated.role, truncated.error_code, truncated.step) == (ROLE_ERROR, 5, 1)
     assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 2, d, 5)
+
+
+valid_configs = st.builds(
+    PfidConfig,
+    spec=st.integers(1, 8).flatmap(
+        lambda k: st.builds(ShardSpec, st.just(k), st.integers(k + 1, 9))),
+    omega=st.floats(min_value=0, allow_infinity=False),
+    phead=st.floats(0, 1, exclude_max=True),
+    ptail=st.floats(0, 1, exclude_max=True),
+    sampling=st.builds(
+        SamplingParams,
+        temperature=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        top_p=st.floats(0, 1, exclude_min=True),
+        top_k=st.integers(1, 1000),
+        max_new_tokens=st.integers(1, 1000),
+        greedy=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs)
+def test_a_config_survives_a_json_round_trip(config):
+    """to_dict's keys are the four split-and-truncation settings, then
+    SamplingParams' fields in order; from_dict reads them all back."""
+    doc = config.to_dict()
+    assert list(doc) == ["layer_range", "omega", "phead", "ptail",
+                         *(f.name for f in fields(SamplingParams))]
+    assert PfidConfig.from_dict(json.loads(json.dumps(doc))) == config
 
 
 def test_serve_middle_closes_its_end_when_the_session_ends(tiny_model):

@@ -19,11 +19,13 @@ and the losses and final weights of 5 `train` steps. Last, the files the
 CLI writes, through `pfid.cli.main` on a temporary binary32 checkpoint of
 the same model: `report.json`, `traces.json` and `capture.pfidcap` from one
 `generate`, `sweep.json` from a 2 x 2 `sweep` grid, and `analysis.json`
-from one `analyze` of 2 prompts. Then the refusals: the exit code and
-stderr, with the temporary directory's path masked, of 11 CLI runs that
-are refused, and the server's error reply (`_handle_request`'s bytes) to 10
-defective requests, at least one of each defect a reply code names. That
-makes 126 outputs. One refused run gives `--ptail` with `--connect` to
+from one `analyze` of 2 prompts. A second, sampled `generate` reads its
+settings from a `--config` file, two of which `--phead` and `--seed`
+override; its `traces.json` and its manifest's config are hashed. Then the
+refusals: the exit code and stderr, with the temporary directory's path
+masked, of 11 CLI runs that are refused, and the server's error reply
+(`_handle_request`'s bytes) to 10 defective requests, at least one of each
+defect a reply code names. That makes 128 outputs. One refused run gives `--ptail` with `--connect` to
 port 1 of 127.0.0.1, where no server is expected to listen.
 """
 
@@ -107,8 +109,13 @@ def dump() -> dict[str, str]:
         tmp = Path(tmp)
         save_model(tmp / "model.ckpt", model)
         common = ["--checkpoint", str(tmp / "model.ckpt"), "--max-new-tokens", "12"]
+        (tmp / "sampled.json").write_text(json.dumps(
+            {"omega": 0.5, "phead": 0.3, "top_k": 7, "temperature": 1.3, "seed": 11}))
         for argv in (["generate", "--prompt", corpus[1000:1024], "--phead", "0.7",
                       "--seed", "5", "--out-dir", str(tmp / "generate")],
+                     ["generate", "--prompt", corpus[1024:1040], "--config",
+                      str(tmp / "sampled.json"), "--phead", "0.6", "--seed", "4",
+                      "--out-dir", str(tmp / "configured")],
                      ["sweep", "--prompts", "2", "--omega-grid", "1,0.5",
                       "--phead-grid", "0.5,0", "--out-dir", str(tmp / "sweep")]):
             if cli_main(argv + common) != 0:
@@ -117,8 +124,12 @@ def dump() -> dict[str, str]:
                      "--out-dir", str(tmp / "analyze")]) != 0:
             raise SystemExit("pfid analyze failed")
         for path in ("generate/report.json", "generate/traces.json",
-                     "generate/capture.pfidcap", "sweep/sweep.json", "analyze/analysis.json"):
+                     "generate/capture.pfidcap", "configured/traces.json", "sweep/sweep.json",
+                     "analyze/analysis.json"):
             out[path] = hashlib.sha256((tmp / path).read_bytes()).hexdigest()
+        config = json.loads((tmp / "configured/manifest.json").read_text())["config"]
+        out["configured/manifest.config"] = hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest()
 
         (tmp / "greedy.json").write_text('{"greedy": "false"}')
 
