@@ -65,9 +65,7 @@ def eavesdrop_generate(
     """
     params = config.sampling
     rng = np.random.default_rng(params.seed)
-    trace = GenerationTrace(
-        mode=f"eavesdropper:{mode.value}", prompt="", seed=params.seed, config=config.to_dict(),
-    )
+    trace = GenerationTrace(mode=f"eavesdropper:{mode.value}", prompt="")
     for up, down in paired_packets(capture):
         h = down.hidden()
         if mode is AdversaryMode.TAIL_PLUS_INTERCEPTED_HEAD:

@@ -26,7 +26,8 @@ the same bytes. Once the session has run and been scored, it writes to
 `--out-dir`:
 
 - `traces.json`, each scenario's trace keyed by its mode: `pipeline`,
-  `local` and `eavesdropper:<mode>` for both eavesdropper modes;
+  `local` and `eavesdropper:<mode>` for both eavesdropper modes (the
+  run's settings and seed are in `manifest.json` alone);
 - `report.json`, `build_eval_report`'s scores of those scenarios against
   the pipeline, and the session's communication ratio;
 - `capture.pfidcap`, the session's packets in wire order, each prefixed

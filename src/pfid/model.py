@@ -424,7 +424,7 @@ def pipeline_generate(
     n_layers = model.config.n_layers
     rng = np.random.default_rng(params.seed)
     tokens = list(prompt_tokens)
-    trace = GenerationTrace(mode="pipeline", prompt="", seed=params.seed)
+    trace = GenerationTrace(mode="pipeline", prompt="")
     keys, values = kv_buffers(model.config, n_layers)
     n_past = 0
     stop_reason = "max_new_tokens"

@@ -356,9 +356,7 @@ def client_generate(
     cfg = client.config
     params = config.sampling
     rng = np.random.default_rng(params.seed)
-    trace = GenerationTrace(
-        mode="local", prompt=prompt, seed=params.seed, config=config.to_dict()
-    )
+    trace = GenerationTrace(mode="local", prompt=prompt)
     stop_reason = "max_new_tokens"
     cache = head_cache(client)
     for step in range(params.max_new_tokens):

@@ -29,13 +29,13 @@ class StepRecord:
 
 @dataclass
 class GenerationTrace:
+    """What one decoder saw and produced; the run's settings and seed are in its manifest."""
+
     mode: str
     prompt: str
-    steps: list[StepRecord] = field(default_factory=list)
     text: str = ""
-    config: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
     stop_reason: str = ""
+    steps: list[StepRecord] = field(default_factory=list)
 
     @property
     def token_ids(self) -> list[int]:
@@ -51,12 +51,7 @@ class GenerationTrace:
         """JSON-friendly form: each step's full logit vector is dropped and
         its top five are kept ([] for a step without logits)."""
         return {
-            "mode": self.mode,
-            "prompt": self.prompt,
-            "text": self.text,
-            "seed": self.seed,
-            "stop_reason": self.stop_reason,
-            "config": self.config,
+            **vars(self),
             "steps": [
                 {
                     "token_id": s.token_id,

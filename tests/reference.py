@@ -32,8 +32,7 @@ def reference_pipeline(model, prompt_tokens, params, eos_id=None):
     every token."""
     rng = np.random.default_rng(params.seed)
     tokens = list(prompt_tokens)
-    trace = GenerationTrace(mode="pipeline", prompt="", seed=params.seed,
-                            stop_reason="max_new_tokens")
+    trace = GenerationTrace(mode="pipeline", prompt="", stop_reason="max_new_tokens")
     for _ in range(params.max_new_tokens):
         if len(tokens) >= model.config.max_seq:
             trace.stop_reason = "max_seq"

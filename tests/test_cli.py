@@ -225,7 +225,9 @@ def test_flags_over_config_keys_land_in_the_manifest(checkpoint, tmp_path):
                     "--greedy") == EXIT_OK
     recorded = json.loads((out / "manifest.json").read_text())["config"]
     assert (recorded["greedy"], recorded["omega"], recorded["phead"]) == (True, 0.25, 0.25)
-    assert json.loads((out / "traces.json").read_text())["local"]["config"] == recorded
+    traces = json.loads((out / "traces.json").read_text())
+    assert all(list(t) == ["mode", "prompt", "text", "stop_reason", "steps"]
+               for t in traces.values())
 
 
 @pytest.mark.parametrize("key, value", [

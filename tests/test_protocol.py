@@ -490,6 +490,8 @@ WIRE_DEFECTS = {
                       "server failure: factors overflow binary32"),
     "zero_positions": (_RAW[:20] + struct.pack("<I", 0) + _RAW[24:32], 4, 3,
                        "bad dimensions d=8, n=0"),
+    "raw_with_rank": (_RAW[:24] + struct.pack("<I", 1) + _RAW[28:], 4, 3,
+                      "raw packet must carry k=0, got k=1"),
 }
 # defects that decode_packet lets through and the server refuses itself
 SERVER_REFUSALS = {"mid_role", "wrong_width", "middle_raises"}

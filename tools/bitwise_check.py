@@ -24,9 +24,10 @@ settings from a `--config` file, two of which `--phead` and `--seed`
 override; its `traces.json` and its manifest's config are hashed. Then the
 refusals: the exit code and stderr, with the temporary directory's path
 masked, of 11 CLI runs that are refused, and the server's error reply
-(`_handle_request`'s bytes) to 10 defective requests, at least one of each
-defect a reply code names. That makes 128 outputs. One refused run gives `--ptail` with `--connect` to
-port 1 of 127.0.0.1, where no server is expected to listen.
+(`_handle_request`'s bytes) to 11 defective requests, at least one of each
+defect a reply code names. That makes 129 outputs. One refused run gives
+`--ptail` with `--connect` to port 1 of 127.0.0.1, where no server is
+expected to listen.
 """
 
 import contextlib
@@ -171,6 +172,7 @@ def dump() -> dict[str, str]:
         "wrong_length": raw[:-8],
         "unknown_role": raw[:12] + (9).to_bytes(4, "little") + raw[16:],
         "zero_positions": raw[:20] + (0).to_bytes(4, "little") + raw[24:32],
+        "raw_with_rank": raw[:24] + (1).to_bytes(4, "little") + raw[28:],
         "mid_role": encode_raw_packet(h, ROLE_MID_RAW, 3),
         "wrong_width": encode_raw_packet(h[1:], ROLE_HEAD_RAW, 3),
         "oversize": encode_raw_packet(np.ones((h.shape[0], model.config.max_seq + 1)),
