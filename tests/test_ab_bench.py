@@ -51,9 +51,19 @@ def test_a_row_gives_the_parents_quartiles_and_the_control_median():
 @pytest.mark.parametrize("run, problem", [
     ({"exit": 0, "correct": True, "failed": 0}, None),
     ({"exit": 1, "correct": True, "failed": 0}, "exited 1"),
+    ({"exit": None}, f"timed out after {ab_bench.RUN_TIMEOUT_S} s"),
     ({"exit": 0}, "not correct"),
     ({"exit": 0, "correct": False, "failed": 0}, "not correct"),
     ({"exit": 0, "correct": True, "failed": 2}, "2 failed operations"),
 ])
 def test_a_run_counts_only_when_it_exits_0_correct_with_no_failed_operation(run, problem):
     assert ab_bench.run_problem(run) == problem
+
+
+@pytest.mark.parametrize("workload", ["all", "translate"])
+def test_a_workload_benchmark_json_does_not_list_is_refused_before_any_run(workload, capsys):
+    root = str(_PATH.parent.parent)
+    with pytest.raises(SystemExit) as exit_:
+        ab_bench.main([root, root, "--workload", workload, "--pairs", "1"])
+    assert exit_.value.code == 2
+    assert "--workload must be one of translate_tcp, chat_tcp, sweep_sim, train" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 """Run perfbench on two checkouts in alternating pairs and compare them.
 
     python3 tools/ab_bench.py PARENT CHANGE --workload W --pairs N
-        [--control TREE] [--seconds S] [--seed0 K]
+        [--control TREE] [--seed0 K]
 
-PARENT, CHANGE and TREE are the roots of full checkouts. Pair i runs
+PARENT, CHANGE and TREE are the roots of full checkouts, and W is one of
+the workloads that CHANGE's BENCHMARK.json lists. Pair i runs
 
     python3 perfbench/run.py --workload W --seed K+i --seconds S --trace 0
 
@@ -11,7 +12,7 @@ once in each tree, with that tree as the working directory, and reads the
 JSON result on the last line of its output. The side that runs first
 alternates from pair to pair. With --control (for example a second copy of
 the parent, byte for byte) each pair is a triple, and the order rotates.
-S defaults to BENCHMARK.json's `run_seconds`, and K to 1.
+S is BENCHMARK.json's `run_seconds`, and K defaults to 1.
 
 For each end-to-end metric in CHANGE's BENCHMARK.json (read, never
 written) it prints the parent's median and quartiles [q1, q3], the change's
@@ -24,8 +25,9 @@ change won (ties count for neither), the control's median, and a verdict:
   bound, and not every run of the change beats every run of the parent;
 - `ok` otherwise.
 
-It exits 1 when a run exits nonzero, reads `correct: false` or has failed
-operations, or when any verdict is `worse`. It writes nothing.
+It exits 1 when a run exits nonzero, runs past RUN_TIMEOUT_S, reads
+`correct: false` or has failed operations, or when any verdict is `worse`.
+It writes nothing.
 """
 
 from __future__ import annotations
@@ -43,11 +45,15 @@ RUN_TIMEOUT_S = 600
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in `tree`: its exit code and the result
-    its last line of output holds (no result when that line is not one)."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S)
+    its last line of output holds (no result when that line is not one).
+    A run killed at RUN_TIMEOUT_S has exit None."""
+    try:
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"exit": None}
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else {}
@@ -58,6 +64,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def run_problem(run: dict) -> str | None:
     """Why a run cannot be counted, or None when it is sound."""
+    if run["exit"] is None:
+        return f"timed out after {RUN_TIMEOUT_S} s"
     if run["exit"] != 0:
         return f"exited {run['exit']}"
     if run.get("correct") is not True:
@@ -116,13 +124,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--control", type=Path)
-    ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--seed0", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload not in workloads:
+        ap.error(f"--workload must be one of {', '.join(workloads)}")
     sides = {"parent": args.parent, "change": args.change}
     if args.control is not None:
         sides["control"] = args.control
@@ -133,7 +142,7 @@ def main(argv=None) -> int:
         seed = args.seed0 + i
         for name in names[i % len(names):] + names[:i % len(names)]:
             run = runs[name]
-            run.append(run_once(sides[name], args.workload, seed, seconds))
+            run.append(run_once(sides[name], args.workload, seed, bench["run_seconds"]))
             problem = run_problem(run[-1])
             values = " ".join(f"{k}={v['value']:.4g}"
                               for k, v in run[-1].get("metrics", {}).items())
