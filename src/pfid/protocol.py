@@ -425,6 +425,9 @@ def _handle_request(middle: Shard, config: PfidConfig, data: bytes) -> bytes:
         h_mid = middle_forward(middle, pkt.hidden())
         return _encode_hidden(h_mid, config.ptail, MID_ROLES, step)[0]
     except Exception as e:  # never crash the serving loop on one request
+        import logging  # only on failure, so serving starts without it
+
+        logging.getLogger(__name__).exception("request for step %d failed", step)
         return encode_error_packet(ERR_INTERNAL, step, f"server failure: {e}")
 
 

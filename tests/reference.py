@@ -8,7 +8,8 @@ savings, so tests can compare against them.
 
 `reference_layer_forward` is the decoder layer written as plain
 out-of-place expressions, which `layer_forward`'s in-place kernels must
-match bit for bit.
+match bit for bit; `reference_gelu_backward` is the same for training's
+in-place GELU backward.
 """
 
 import numpy as np
@@ -91,3 +92,10 @@ def reference_layer_forward(lw, x, n_heads, cache=None, past=None, q_rows=None):
     if cache is not None:
         cache += (x, inv, u1, t)
     return x + g @ lw.w2
+
+
+def reference_gelu_backward(dy, x, t):
+    """`_gelu_backward` as one out-of-place expression: dy times the GELU's
+    derivative at x, whose tanh is t."""
+    dt = GELU_C * (1.0 + 3.0 * GELU_A * (x * x)) * (1.0 - t * t)
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * dt)

@@ -1,4 +1,5 @@
 import json
+import logging
 import queue
 import socket
 import struct
@@ -20,6 +21,7 @@ from pfid.linalg import TruncatedFactors, truncated_svd
 from pfid.model import ModelConfig, SamplingParams, init_model
 from pfid.protocol import (
     ERR_FIELDS,
+    ERR_INTERNAL,
     MID_ROLES,
     PKT_HEADER_BYTES,
     ROLE_ERROR,
@@ -498,7 +500,9 @@ SERVER_REFUSALS = {"mid_role", "wrong_width", "middle_raises"}
 
 
 @pytest.mark.parametrize("defect", WIRE_DEFECTS)
-def test_each_wire_defect_gets_its_error_code_and_the_server_keeps_serving(defect):
+def test_each_wire_defect_gets_its_error_code_and_the_server_keeps_serving(defect, caplog):
+    """A refusal leaves no server-side record; an internal failure leaves one
+    ERROR record with its traceback."""
     request, code, step, message = WIRE_DEFECTS[defect]
     client_end, server_end = InMemoryTransport.pair()
     server = threading.Thread(target=serve_middle, args=(FUZZ_MIDDLE, server_end, FUZZ_CONFIG))
@@ -515,6 +519,14 @@ def test_each_wire_defect_gets_its_error_code_and_the_server_keeps_serving(defec
     assert (refused.role, refused.error_code, refused.step, refused.error_message) == (
         ROLE_ERROR, code, step, message)
     assert (served.role, served.step, served.d, served.n) == (ROLE_MID_FACTORS, 3, 8, 5)
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    if code == ERR_INTERNAL:
+        [record] = errors
+        assert (record.name, record.getMessage()) == ("pfid.protocol", "request for step 3 failed")
+        assert record.exc_info[0] is ProtocolError
+        assert "Traceback" in caplog.text and "overflow binary32" in caplog.text
+    else:
+        assert errors == []
     if defect in SERVER_REFUSALS:
         decode_packet(request, FUZZ_MODEL.config.max_seq)
     else:

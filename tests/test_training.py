@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pfid.model import ModelConfig, SamplingParams, init_model, pipeline_generate
+from pfid.model import ModelConfig, SamplingParams, _gelu_with_tanh, init_model, pipeline_generate
 from pfid.tokenizer import Tokenizer
-from pfid.training import _sample_windows, loss_and_grads, train
+from pfid.training import _gelu_backward, _sample_windows, loss_and_grads, train
+from reference import reference_gelu_backward
 
 
 def small_config(**kw):
@@ -43,6 +46,42 @@ def test_gradients_match_central_finite_differences(shape):
             fd = (up - down) / (2 * eps)
             denom = max(abs(fd), abs(gflat[c]), 1e-8)
             assert abs(fd - gflat[c]) / denom <= 1e-3, f"{name}[{c}]: {fd} vs {gflat[c]}"
+
+
+@pytest.mark.parametrize("shape", [(12, 32, 256), (3, 7, 256), (1, 1, 256)])
+def test_the_in_place_gelu_backward_matches_the_reference_bit_for_bit(shape):
+    """The in-place kernel against the out-of-place expression; the first
+    inputs are large enough that tanh saturates to exactly +-1."""
+    rng = np.random.default_rng(shape[1])
+    x = 3 * rng.standard_normal(shape)
+    x.flat[:4] = (-40.0, -9.0, 9.0, 40.0)
+    t = _gelu_with_tanh(x)[1]
+    assert set(t.flat[:4]) == {-1.0, 1.0}
+    dy = rng.standard_normal(shape)
+    want = reference_gelu_backward(dy, x, t)
+    got = _gelu_backward(dy.copy(), x, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_the_backward_holds_little_beyond_the_cached_activations():
+    """A 12 x 32 batch's backward needs the activations its forward caches;
+    at its traced peak it holds fewer than 5 (B, T, d_ff) arrays more."""
+    cfg = ModelConfig(seed=7)
+    B, T = 12, 32
+    inputs, targets = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2, B, T))
+    model = init_model(cfg)
+    tracemalloc.start()
+    try:
+        loss_and_grads(model, inputs, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per position and layer: x, q, k, v and the feed-forward input, two RMS
+    # scales, the GELU's input and tanh, and a row of T probabilities per head
+    per_position = 5 * cfg.d_model + 2 + 2 * cfg.d_ff + cfg.n_heads * T
+    cached = 8 * cfg.n_layers * B * T * per_position
+    assert cached == 23_642_112  # 22.55 MiB
+    assert peak - cached < 5 * 8 * B * T * cfg.d_ff
 
 
 def test_loss_decreases():
